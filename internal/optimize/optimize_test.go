@@ -102,6 +102,32 @@ func TestC11RankingARMv8(t *testing.T) {
 	}
 }
 
+// TestDefaultGateExplorerWork pins the explorer work behind the default
+// JVM gate on ARMv8 — every default candidate through every gate shape —
+// so a change to the explorer or the simulator that moves it shows up
+// here rather than as a different optimize report.
+func TestDefaultGateExplorerWork(t *testing.T) {
+	sp := Spec{Platform: "jvm", Arch: "armv8"}.WithDefaults()
+	cands, err := sp.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, states := 0, 0
+	for _, c := range cands {
+		gate, err := RunGate(sp, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range gate {
+			runs += g.Runs
+			states += g.States
+		}
+	}
+	if runs != 5254 || states != 3922 {
+		t.Errorf("default JVM gate explored %d runs and %d states, want 5254 and 3922", runs, states)
+	}
+}
+
 // TestReportByteIdentity pins the determinism contract: the same spec and
 // seed produce byte-identical canonical reports across runs.
 func TestReportByteIdentity(t *testing.T) {
