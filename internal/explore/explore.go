@@ -60,6 +60,14 @@
 // visitor, so the run continues on default picks but schedules no
 // further alternatives.  Dedup trusts the 64-bit hash, as stateless
 // model checkers conventionally do.
+//
+// The machine is fingerprinted only where the result is consulted.
+// Replaying the prefix, continuing after a dedup hit and replaying a
+// witness all resolve choices without looking anything up, so they skip
+// the hash; only the per-cycle ordinal is kept up to date at every
+// multi-valued choice.  The hash itself costs what the run touched: the
+// predictor and cache sections are sparse, and memory is walked over
+// the storage's written-word set (see internal/sim/fingerprint.go).
 package explore
 
 import (
@@ -188,9 +196,18 @@ type controller struct {
 	ordinal   int
 }
 
-// choose resolves one choice from its domain.
-func (c *controller) choose(domain []int64, fp uint64, dedup bool) int64 {
+// choose resolves one choice from its domain.  ch is the machine choice
+// being resolved, or nil for a virtual alignment choice (made before the
+// machine starts, so there is no state to dedup against).  The machine
+// is fingerprinted only where the result is consulted: past the replayed
+// prefix, before any dedup hit, and outside witness replay.
+func (c *controller) choose(domain []int64, ch *sim.Choice) int64 {
 	pos := len(c.picks)
+	multi := len(domain) > 1
+	ordinal := 0
+	if ch != nil && multi {
+		ordinal = c.nextOrdinal()
+	}
 	idx := 0
 	if pos < len(c.prefix) {
 		idx = c.prefix[pos]
@@ -201,8 +218,9 @@ func (c *controller) choose(domain []int64, fp uint64, dedup bool) int64 {
 		}
 	}
 	branch := false
-	if !c.replay && pos >= len(c.prefix) && len(domain) > 1 && !c.stopped {
-		if dedup {
+	if !c.replay && pos >= len(c.prefix) && multi && !c.stopped {
+		if ch != nil {
+			fp := c.stateFP(*ch, ordinal)
 			if _, seen := c.x.visited[fp]; seen {
 				c.stopped = true
 			} else {
@@ -220,19 +238,24 @@ func (c *controller) choose(domain []int64, fp uint64, dedup bool) int64 {
 	return domain[idx]
 }
 
-// stateFP combines the machine fingerprint with the choice descriptor
-// and the per-cycle choice ordinal (two choice points within one cycle
-// can otherwise present identical machine state).
-func (c *controller) stateFP(ch sim.Choice) uint64 {
-	m := c.x.m
-	if now := m.Now(); now != c.lastCycle {
+// nextOrdinal numbers the multi-valued machine choices within the
+// current cycle, whether or not their state is fingerprinted.
+func (c *controller) nextOrdinal() int {
+	if now := c.x.m.Now(); now != c.lastCycle {
 		c.lastCycle, c.ordinal = now, 0
 	}
 	c.ordinal++
-	h := m.Fingerprint()
+	return c.ordinal
+}
+
+// stateFP combines the machine fingerprint with the choice descriptor
+// and the per-cycle choice ordinal (two choice points within one cycle
+// can otherwise present identical machine state).
+func (c *controller) stateFP(ch sim.Choice, ordinal int) uint64 {
+	h := c.x.m.Fingerprint()
 	for _, v := range [...]uint64{
 		uint64(ch.Kind), uint64(int64(ch.Core)), uint64(int64(ch.Dest)),
-		uint64(ch.Addr), uint64(ch.Lo), uint64(ch.Hi), uint64(c.ordinal),
+		uint64(ch.Addr), uint64(ch.Lo), uint64(ch.Hi), uint64(ordinal),
 	} {
 		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
 	}
@@ -265,12 +288,7 @@ func (c *controller) BoolChoice(ch sim.Choice) bool {
 		// Issue and load jitter: pinned off under delay extremality.
 		domain = falseDomain
 	}
-	var fp uint64
-	dedup := len(domain) > 1
-	if dedup {
-		fp = c.stateFP(ch)
-	}
-	v := c.choose(domain, fp, dedup) != 0
+	v := c.choose(domain, &ch) != 0
 	if ch.Kind == sim.ChoiceSBCombine && len(domain) > 1 && !v {
 		// Declined: sleep this core's combine for the rest of the run.
 		c.combineSlept[ch.Core] = true
@@ -308,12 +326,7 @@ func (c *controller) IntChoice(ch sim.Choice) int64 {
 		// their gating booleans pinned off; fail safe to the minimum.
 		domain = []int64{ch.Lo}
 	}
-	var fp uint64
-	dedup := len(domain) > 1
-	if dedup {
-		fp = c.stateFP(ch)
-	}
-	return c.choose(domain, fp, dedup)
+	return c.choose(domain, &ch)
 }
 
 type explorer struct {
@@ -452,7 +465,7 @@ func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) 
 	// starts (no machine state to dedup against).
 	staggers := make([]int64, sp.Threads)
 	for th := 0; th < sp.Threads; th++ {
-		staggers[th] = ctl.choose(sp.Stagger, 0, false)
+		staggers[th] = ctl.choose(sp.Stagger, nil)
 	}
 
 	// The machine's rngs are never consulted while a source is

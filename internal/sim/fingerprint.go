@@ -1,10 +1,12 @@
 package sim
 
+import "math/bits"
+
 // Machine state fingerprinting for the exhaustive explorer
-// (internal/explore): a 64-bit FNV-1a hash over everything that can
-// influence the machine's future behaviour, with absolute times
-// normalised to offsets from the current cycle so that runs reaching the
-// same configuration at different cycles hash equal.
+// (internal/explore): a 64-bit hash over everything that can influence
+// the machine's future behaviour, with absolute times normalised to
+// offsets from the current cycle so that runs reaching the same
+// configuration at different cycles hash equal.
 //
 // What is included: architectural and microarchitectural core state
 // (registers, flags, the live reorder-window entries with producer links
@@ -26,21 +28,39 @@ package sim
 // floors) are clamped to zero once past; times whose relative order
 // among past values still matters (pending propagation arrivals, which
 // bound partial deliveries) are kept as signed offsets.
+//
+// Encoding: the state is serialised as a stream of 64-bit words, each
+// absorbed with one 64x64->128-bit multiply folded to 64 bits (the mum
+// step of wyhash) under fixed constants, so a fingerprint is a pure
+// function of the state, identical across processes.  The stream is
+// sparse where the state is mostly at its initial value: predictor
+// counters other than 1 (weakly not-taken, the reset value) and cache
+// tags other than -1 (empty) are emitted as (index, value) pairs, each
+// section closed by a terminator no index can equal; memory is walked
+// over the storage's written-word set in address order rather than
+// scanned.  Every section is self-delimiting, so the encoding is as
+// injective as a fixed-length dump of the full tables, at a cost that
+// scales with the state a run has actually touched.
 
+// Fixed mixing constants (wyhash's default secret).
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	fpSeed uint64 = 0xa0761d6478bd642f
+	fpMulA uint64 = 0xe7037ed1a0b428db
+	fpMulB uint64 = 0x8ebc6af09c88c6e3
 )
+
+// fpEnd terminates a sparse section: no table index equals it.
+const fpEnd = ^uint64(0)
 
 type fingerprinter struct{ h uint64 }
 
+func newFingerprinter() fingerprinter { return fingerprinter{h: fpSeed} }
+
+// word absorbs v: the full 128-bit product of the chained state and the
+// word, each offset by a constant, folded to 64 bits.
 func (f *fingerprinter) word(v uint64) {
-	h := f.h
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	f.h = h
+	hi, lo := bits.Mul64(f.h^fpMulA, v^fpMulB)
+	f.h = hi ^ lo
 }
 
 func (f *fingerprinter) i64(v int64) { f.word(uint64(v)) }
@@ -66,7 +86,7 @@ func rel(t, now int64) int64 {
 // resolutions (up to 64-bit hash collisions, which the explorer accepts
 // as model checkers conventionally do).
 func (m *Machine) Fingerprint() uint64 {
-	f := fingerprinter{h: fnvOffset64}
+	f := newFingerprinter()
 	now := m.now
 	f.i64(now % int64(len(m.cores))) // rotating step-order phase
 	if w := m.cfg.WarmupCycles; w > now {
@@ -132,12 +152,19 @@ func (c *core) fingerprint(f *fingerprinter, now int64) {
 		f.bool(s.fence)
 	}
 
-	for _, b := range c.pred.table {
-		f.word(uint64(b))
+	for i, b := range c.pred.table {
+		if b != 1 {
+			f.word(uint64(i)<<8 | uint64(b))
+		}
 	}
-	for _, t := range c.cache.tags {
-		f.i64(t)
+	f.word(fpEnd)
+	for i, t := range c.cache.tags {
+		if t != -1 {
+			f.word(uint64(i))
+			f.i64(t)
+		}
 	}
+	f.word(fpEnd)
 	f.bool(c.monArmed)
 	f.i64(c.monAddr)
 	f.word(c.monSeq)
@@ -171,13 +198,14 @@ func fingerprintInstr(f *fingerprinter, e *wentry) {
 
 func (s *mcaStorage) fingerprint(f *fingerprinter) {
 	f.word(s.commit)
-	for a := range s.mem {
+	s.written.each(func(a int64) {
 		if s.mem[a] != 0 || s.seq[a] != 0 {
-			f.i64(int64(a))
+			f.i64(a)
 			f.i64(s.mem[a])
 			f.word(s.seq[a])
 		}
-	}
+	})
+	f.word(fpEnd)
 	for _, b := range s.touch.bits {
 		f.word(b)
 	}
@@ -185,24 +213,26 @@ func (s *mcaStorage) fingerprint(f *fingerprinter) {
 
 func (s *nonMCAStorage) fingerprint(f *fingerprinter, now int64) {
 	f.word(s.commit)
-	for a := range s.master {
+	s.written.each(func(a int64) {
 		if s.master[a] != 0 || s.seq[a] != 0 {
-			f.i64(int64(a))
+			f.i64(a)
 			f.i64(s.master[a])
 			f.word(s.seq[a])
 			f.i64(rel(s.masterVis[a], now))
 		}
-	}
+	})
+	f.word(fpEnd)
 	for c := 0; c < s.cores; c++ {
 		v, vs, vv := s.views[c], s.viewSeq[c], s.viewVis[c]
-		for a := range v {
+		s.written.each(func(a int64) {
 			if v[a] != 0 || vs[a] != 0 {
-				f.i64(int64(a))
+				f.i64(a)
 				f.i64(v[a])
 				f.word(vs[a])
 				f.i64(rel(vv[a], now))
 			}
-		}
+		})
+		f.word(fpEnd)
 		// In-flight propagation events, hashed as an order-independent
 		// multiset: heap layout is not behaviour (delivery is bounded by
 		// arrival time, and installs are idempotent by sequence), and
@@ -212,7 +242,7 @@ func (s *nonMCAStorage) fingerprint(f *fingerprinter, now int64) {
 		// past-due arrivals still matters.
 		var sum, xor uint64
 		for _, e := range s.queues[c].ev {
-			ef := fingerprinter{h: fnvOffset64}
+			ef := newFingerprinter()
 			ef.i64(e.arrive - now)
 			ef.i64(e.addr)
 			ef.i64(e.val)

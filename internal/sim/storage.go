@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // storage abstracts the machine's shared-memory subsystem.  Two
 // implementations exist:
 //
@@ -96,26 +98,53 @@ func (t *touchSet) reset() {
 	}
 }
 
+// wordSet records which memory words a run has written.  write and
+// commitStore add to it; deliver and observeExclusive only install
+// writes that were committed first, so the set covers every word of
+// every per-word array (memory, commit sequences, visibility times and
+// each core's view) that differs from zero.  Reset and Fingerprint walk
+// it instead of the whole memory.
+type wordSet []uint64
+
+func newWordSet(words int) wordSet { return make(wordSet, (words+63)/64) }
+
+func (w wordSet) add(addr int64) { w[addr>>6] |= 1 << (addr & 63) }
+
+// each calls fn for every member, in increasing address order.
+func (w wordSet) each(fn func(addr int64)) {
+	for i, b := range w {
+		for b != 0 {
+			fn(int64(i)<<6 | int64(bits.TrailingZeros64(b)))
+			b &= b - 1
+		}
+	}
+}
+
+func (w wordSet) reset() { clear(w) }
+
 // mcaStorage is the other-multi-copy-atomic storage subsystem.
 type mcaStorage struct {
-	mem    []int64
-	seq    []uint64
-	commit uint64
-	caches []*l1 // per-core private caches (timing invalidation sinks)
-	touch  *touchSet
+	mem     []int64
+	seq     []uint64
+	written wordSet
+	commit  uint64
+	caches  []*l1 // per-core private caches (timing invalidation sinks)
+	touch   *touchSet
 }
 
 func newMCAStorage(memWords, lineWords int, caches []*l1) *mcaStorage {
 	return &mcaStorage{
-		mem:    make([]int64, memWords),
-		seq:    make([]uint64, memWords),
-		caches: caches,
-		touch:  newTouchSet(memWords, lineWords),
+		mem:     make([]int64, memWords),
+		seq:     make([]uint64, memWords),
+		written: newWordSet(memWords),
+		caches:  caches,
+		touch:   newTouchSet(memWords, lineWords),
 	}
 }
 
 func (s *mcaStorage) commitStore(core int, addr, val int64, now int64) {
 	s.commit++
+	s.written.add(addr)
 	s.mem[addr] = val
 	s.seq[addr] = s.commit
 	// The line now exists in the writer's cache hierarchy: remote misses
@@ -154,18 +183,18 @@ func (s *mcaStorage) observeExclusive(int, int64, uint64, int64) {}
 func (s *mcaStorage) lineTouched(line int64) bool { return s.touch.touched(line) }
 func (s *mcaStorage) touchLine(line int64)        { s.touch.touch(line) }
 
-func (s *mcaStorage) write(addr, val int64) { s.mem[addr] = val }
+func (s *mcaStorage) write(addr, val int64) {
+	s.mem[addr] = val
+	s.written.add(addr)
+}
+
 func (s *mcaStorage) read(addr int64) int64 { return s.mem[addr] }
 
 func (s *mcaStorage) setChoices(ChoiceSource) {}
 
 func (s *mcaStorage) reset(uint64) {
-	for i := range s.mem {
-		s.mem[i] = 0
-	}
-	for i := range s.seq {
-		s.seq[i] = 0
-	}
+	s.written.each(func(a int64) { s.mem[a], s.seq[a] = 0, 0 })
+	s.written.reset()
 	s.commit = 0
 	s.touch.reset()
 }
@@ -237,6 +266,7 @@ type nonMCAStorage struct {
 	// hwsync must wait until everything ordered before that store (the
 	// release's group) has reached this core.
 	masterVis []int64
+	written   wordSet
 	commit    uint64
 
 	cores int
@@ -274,6 +304,7 @@ func newNonMCAStorage(memWords, lineWords, cores int, propMin, propMax int64, pr
 		master:    make([]int64, memWords),
 		seq:       make([]uint64, memWords),
 		masterVis: make([]int64, memWords),
+		written:   newWordSet(memWords),
 		cores:     cores,
 		views:     make([][]int64, cores),
 		viewSeq:   make([][]uint64, cores),
@@ -303,6 +334,7 @@ func newNonMCAStorage(memWords, lineWords, cores int, propMin, propMax int64, pr
 func (s *nonMCAStorage) commitStore(core int, addr, val int64, now int64) {
 	s.commit++
 	seq := s.commit
+	s.written.add(addr)
 	s.master[addr] = val
 	s.seq[addr] = seq
 
@@ -449,6 +481,7 @@ func (s *nonMCAStorage) touchLine(line int64)        { s.touch.touch(line) }
 
 func (s *nonMCAStorage) write(addr, val int64) {
 	s.master[addr] = val
+	s.written.add(addr)
 	for c := 0; c < s.cores; c++ {
 		s.views[c][addr] = val
 	}
@@ -457,27 +490,15 @@ func (s *nonMCAStorage) write(addr, val int64) {
 func (s *nonMCAStorage) read(addr int64) int64 { return s.master[addr] }
 
 func (s *nonMCAStorage) reset(seed uint64) {
-	for i := range s.master {
-		s.master[i] = 0
-	}
-	for i := range s.seq {
-		s.seq[i] = 0
-	}
-	for i := range s.masterVis {
-		s.masterVis[i] = 0
-	}
+	s.written.each(func(a int64) {
+		s.master[a], s.seq[a], s.masterVis[a] = 0, 0, 0
+		for c := 0; c < s.cores; c++ {
+			s.views[c][a], s.viewSeq[c][a], s.viewVis[c][a] = 0, 0, 0
+		}
+	})
+	s.written.reset()
 	s.commit = 0
 	for c := 0; c < s.cores; c++ {
-		v, vs, vv := s.views[c], s.viewSeq[c], s.viewVis[c]
-		for i := range v {
-			v[i] = 0
-		}
-		for i := range vs {
-			vs[i] = 0
-		}
-		for i := range vv {
-			vv[i] = 0
-		}
 		s.queues[c].ev = s.queues[c].ev[:0]
 		f, cu := s.floor[c], s.cur[c]
 		for i := range f {
