@@ -61,6 +61,17 @@
 // further alternatives.  Dedup trusts the 64-bit hash, as stateless
 // model checkers conventionally do.
 //
+// The fingerprint covers the machine but not the controller's combine
+// sleep set, and a core whose combine is asleep has a smaller choice
+// domain.  So each fingerprint records every sleep mask it was explored
+// under, and a revisit is stopped only if some recorded mask is a
+// subset of the visitor's.  That is sound because the sleep set only
+// grows along a run: a visitor with at least the first visitor's cores
+// asleep faces, at every later choice, a subset of the first visitor's
+// domain, so its subtree is contained in the one already scheduled.
+// The masks are never narrowed to their intersection: visits under {a}
+// and {b} do not cover a visitor with nothing asleep.
+//
 // The machine is fingerprinted only where the result is consulted.
 // Replaying the prefix, continuing after a dedup hit and replaying a
 // witness all resolve choices without looking anything up, so they skip
@@ -190,7 +201,7 @@ type controller struct {
 	replay  bool // pure witness replay: no dedup, no recording
 	stopped bool // hit a visited state; stop scheduling alternatives
 
-	combineSlept []bool // per-core sleep set for ChoiceSBCombine
+	combineSlept uint64 // per-core sleep set for ChoiceSBCombine, one bit per core
 
 	lastCycle int64
 	ordinal   int
@@ -220,11 +231,9 @@ func (c *controller) choose(domain []int64, ch *sim.Choice) int64 {
 	branch := false
 	if !c.replay && pos >= len(c.prefix) && multi && !c.stopped {
 		if ch != nil {
-			fp := c.stateFP(*ch, ordinal)
-			if _, seen := c.x.visited[fp]; seen {
+			if c.x.covered(c.stateFP(*ch, ordinal), c.combineSlept) {
 				c.stopped = true
 			} else {
-				c.x.visited[fp] = struct{}{}
 				branch = true
 			}
 		} else {
@@ -276,7 +285,7 @@ func (c *controller) BoolChoice(ch sim.Choice) bool {
 	var domain []int64
 	switch ch.Kind {
 	case sim.ChoiceSBCombine:
-		if c.interesting(ch.Addr) && !c.combineSlept[ch.Core] {
+		if c.interesting(ch.Addr) && c.combineSlept&(1<<ch.Core) == 0 {
 			domain = boolDomain
 		} else {
 			domain = falseDomain
@@ -291,7 +300,7 @@ func (c *controller) BoolChoice(ch sim.Choice) bool {
 	v := c.choose(domain, &ch) != 0
 	if ch.Kind == sim.ChoiceSBCombine && len(domain) > 1 && !v {
 		// Declined: sleep this core's combine for the rest of the run.
-		c.combineSlept[ch.Core] = true
+		c.combineSlept |= 1 << ch.Core
 	}
 	return v
 }
@@ -330,9 +339,11 @@ func (c *controller) IntChoice(ch sim.Choice) int64 {
 }
 
 type explorer struct {
-	sp      *Spec
-	m       *sim.Machine
-	visited map[uint64]struct{}
+	sp *Spec
+	m  *sim.Machine
+	// visited maps each explored state fingerprint to the combine sleep
+	// masks it was explored under (see covered).
+	visited map[uint64][]uint64
 	// progs caches built programs per (thread, stagger).
 	progs map[[2]int64]arch.Program
 }
@@ -445,20 +456,41 @@ func newExplorer(sp *Spec) (*explorer, error) {
 	return &explorer{
 		sp:      sp,
 		m:       m,
-		visited: map[uint64]struct{}{},
+		visited: map[uint64][]uint64{},
 		progs:   map[[2]int64]arch.Program{},
 	}, nil
+}
+
+// covered reports whether state fp, reached with combine sleep mask
+// slept, lies in a subtree an earlier visit already scheduled, and
+// records this visit if not.  The fingerprint omits the sleep set, yet a
+// core whose combine is asleep has a smaller choice domain, so a visit
+// under mask r covers a visitor under mask m only when r ⊆ m: every core
+// asleep for the first visitor is asleep for this one, the sleep set
+// only grows along a run, and so at every later choice the visitor's
+// domain is a subset of the first visitor's.  Every recorded mask is
+// kept; narrowing them to their intersection would be unsound, since
+// visits under {a} and {b} together do not cover a visitor with nothing
+// asleep.
+func (x *explorer) covered(fp, slept uint64) bool {
+	masks := x.visited[fp]
+	for _, r := range masks {
+		if r&^slept == 0 {
+			return true
+		}
+	}
+	x.visited[fp] = append(masks, slept)
+	return false
 }
 
 // execute performs one machine run under the given pick prefix.
 func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) {
 	sp := x.sp
 	ctl := &controller{
-		x:            x,
-		prefix:       prefix,
-		replay:       replay != nil,
-		combineSlept: make([]bool, sp.Threads),
-		lastCycle:    -1,
+		x:         x,
+		prefix:    prefix,
+		replay:    replay != nil,
+		lastCycle: -1,
 	}
 
 	// Alignment: one virtual choice per thread, made before the machine

@@ -296,6 +296,61 @@ func TestMessagePassingAddrDep(t *testing.T) {
 	}
 }
 
+// TestDedupRespectsCombineSleepSet pins the dedup rule for the combine
+// sleep set at the controller: a state first explored under sleep mask
+// r stops a later visitor under mask m only when r ⊆ m.  A visitor with
+// fewer cores asleep has a larger choice domain and must branch, and
+// recorded masks are never narrowed to their intersection.
+func TestDedupRespectsCombineSleepSet(t *testing.T) {
+	const core0, core1 = 1 << 0, 1 << 1
+	// Every visit resolves the same combine choice on a fresh machine,
+	// so all of them present one fingerprint.
+	ch := sim.Choice{Kind: sim.ChoiceSBCombine, Core: 0, Dest: -1, Addr: addrX}
+	cases := []struct {
+		name     string
+		recorded []uint64 // masks of the earlier visits, in order
+		visitor  uint64
+		stopped  bool
+	}{
+		{"same mask", []uint64{core0}, core0, true},
+		{"superset of a recorded mask", []uint64{0}, core0 | core1, true},
+		{"subset of the recorded mask", []uint64{core0}, 0, false},
+		{"disjoint from the recorded mask", []uint64{core0}, core1, false},
+		{"covered by one of several masks", []uint64{core0, core1}, core1, true},
+		{"no narrowing to the intersection", []uint64{core0, core1}, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := sbSpec(arch.ARMv8(), arch.BarrierNone)
+			x, err := newExplorer(&sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit := func(slept uint64) *controller {
+				ctl := &controller{x: x, combineSlept: slept, lastCycle: -1}
+				ctl.choose(boolDomain, &ch)
+				return ctl
+			}
+			for _, r := range tc.recorded {
+				if ctl := visit(r); ctl.stopped {
+					t.Fatalf("recording visit under mask %b was stopped", r)
+				}
+			}
+			ctl := visit(tc.visitor)
+			if ctl.stopped != tc.stopped {
+				t.Errorf("visitor under mask %b after visits %b: stopped=%v, want %v",
+					tc.visitor, tc.recorded, ctl.stopped, tc.stopped)
+			}
+			if branch := ctl.recs[0].branch; branch == tc.stopped {
+				t.Errorf("visitor scheduled alternatives=%v, want %v", branch, !tc.stopped)
+			}
+			if len(x.visited) != 1 {
+				t.Errorf("%d distinct states recorded, want 1", len(x.visited))
+			}
+		})
+	}
+}
+
 func BenchmarkExploreSB(b *testing.B) {
 	sp := sbSpec(arch.ARMv8(), arch.BarrierNone)
 	b.ReportAllocs()

@@ -212,9 +212,9 @@ var conformanceGolden = map[string]exploreGolden{
 	"power7/IRIW+lwsync+lwsync": {31, 22, "1/1/0/0/0/0/0/0/0/0/0/1/0/0/0/1/0/0/0 1/1/0/0/0/0/0/0/0/0/0/1/0/0/0/1/1/0/0 1/1/0/0/0/0/0/0/0/0/0/1/1/0/0/1/0/0/0 1/1/0/0/0/0/0/0/0/0/0/1/1/0/0/1/1/0/0", "1572b71124d70206"},
 	"power7/R":                  {1, 6, "1/2/0/0/0/0/0/0/0/0/0", "d362275a30654b2e"},
 	"power7/R+sync+sync":        {8538, 8342, "1/1/0/0/0/0/0/0/0/0/0 1/1/0/0/0/0/0/1/0/0/0 1/2/0/0/0/0/0/1/0/0/0", "f857c2cb3807b93a"},
-	"power7/S":                  {4246, 4192, "1/1/0/0/0/0/0/0/0/0/0 1/1/0/0/0/0/0/1/0/0/0 2/1/0/0/0/0/0/0/0/0/0 2/1/0/0/0/0/0/1/0/0/0", "9f7492697c9c4be5"},
+	"power7/S":                  {4573, 4192, "1/1/0/0/0/0/0/0/0/0/0 1/1/0/0/0/0/0/1/0/0/0 2/1/0/0/0/0/0/0/0/0/0 2/1/0/0/0/0/0/1/0/0/0", "9f7492697c9c4be5"},
 	"power7/S+lwsync+po":        {13466, 13270, "1/1/0/0/0/0/0/0/0/0/0 1/1/0/0/0/0/0/1/0/0/0 2/1/0/0/0/0/0/0/0/0/0", "cb68882e489200ef"},
-	"power7/2+2W":               {2323, 2315, "1/1/0/0/0/0/0/0/0/0/0 1/2/0/0/0/0/0/0/0/0/0 2/1/0/0/0/0/0/0/0/0/0 2/2/0/0/0/0/0/0/0/0/0", "d780185ae4c4d19b"},
+	"power7/2+2W":               {2583, 2315, "1/1/0/0/0/0/0/0/0/0/0 1/2/0/0/0/0/0/0/0/0/0 2/1/0/0/0/0/0/0/0/0/0 2/2/0/0/0/0/0/0/0/0/0", "d780185ae4c4d19b"},
 }
 
 func r(prof *arch.Profile) *Runner { return &Runner{Prof: prof} }
