@@ -84,7 +84,7 @@ package explore
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/sim"
@@ -538,13 +538,13 @@ func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) 
 // outcomeKey reads the watched addresses after a run.
 func (x *explorer) outcomeKey() (string, []int64) {
 	vals := make([]int64, len(x.sp.Watch))
-	var b strings.Builder
+	key := make([]byte, 0, 2*len(vals))
 	for i, a := range x.sp.Watch {
 		vals[i] = x.m.ReadMem(a)
 		if i > 0 {
-			b.WriteByte('/')
+			key = append(key, '/')
 		}
-		fmt.Fprintf(&b, "%d", vals[i])
+		key = strconv.AppendInt(key, vals[i], 10)
 	}
-	return b.String(), vals
+	return string(key), vals
 }

@@ -1,11 +1,16 @@
-// Package perfbench holds the simulator performance benchmarks shared by
-// the `go test -bench BenchmarkSim` harness (bench_test.go) and the
-// cmd/wmmperf regression tool.  One definition serves both so the numbers
-// CI gates on are the numbers developers reproduce locally.
+// Package perfbench holds the performance benchmarks of the simulator
+// and explorer layers, shared by the `go test -bench BenchmarkSim`
+// harness (bench_test.go) and the cmd/wmmperf regression tool.  One
+// definition serves both so the numbers CI gates on are the numbers
+// developers reproduce locally.
 package perfbench
 
 import (
+	"bufio"
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -21,6 +26,11 @@ type Bench struct {
 	// Cycles is the simulated cycle count per iteration for bodies that
 	// drive the raw cycle loop; zero for sample-level bodies.
 	Cycles int64
+	// AllocsTolerance is the relative allocs/op growth Compare accepts:
+	// zero (exact) except for the explorer bodies, whose hundred thousand
+	// allocations per op vary by a few dozen between identical runs (GC
+	// timing in the runtime's accounting, Go map growth).
+	AllocsTolerance float64
 }
 
 // steadyProg builds the per-core program used by the cycle-loop
@@ -124,7 +134,8 @@ func simSample(prof *arch.Profile) func(b *testing.B) {
 }
 
 // Benchmarks returns the full suite.  short trims the per-iteration cycle
-// counts so a full sweep finishes in CI time.
+// counts so a full sweep finishes in CI time; the explorer bodies explore
+// fixed trees either way.
 func Benchmarks(short bool) []Bench {
 	cycles := int64(200_000)
 	if short {
@@ -136,8 +147,11 @@ func Benchmarks(short bool) []Bench {
 			Bench{Name: "SimCycles/" + prof.Name, Fn: simCycles(prof, cycles), Cycles: cycles},
 			Bench{Name: "SimReset/" + prof.Name, Fn: simReset(prof)},
 			Bench{Name: "SimSample/" + prof.Name, Fn: simSample(prof)},
+			Bench{Name: "Explore/SB/" + prof.Name, Fn: exploreShape(prof, "SB"), AllocsTolerance: exploreAllocsTolerance},
+			Bench{Name: "Explore/MP/" + prof.Name, Fn: exploreShape(prof, "MP"), AllocsTolerance: exploreAllocsTolerance},
 		)
 	}
+	out = append(out, Bench{Name: "ExploreGate/jvm/armv8", Fn: exploreGate("jvm", arch.ARMv8()), AllocsTolerance: exploreAllocsTolerance})
 	return out
 }
 
@@ -148,18 +162,59 @@ type Result struct {
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 	BytesPerOp   float64 `json:"bytes_per_op"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
+	// RunsPerSec and StatesPerSec are the explorer rows' throughput:
+	// machine runs and distinct deduplicated states per second.
+	RunsPerSec   float64 `json:"runs_per_sec,omitempty"`
+	StatesPerSec float64 `json:"states_per_sec,omitempty"`
+	// AllocsTolerance is the body's Bench.AllocsTolerance.
+	AllocsTolerance float64 `json:"allocs_tolerance,omitempty"`
+}
+
+// Host identifies the machine a report was measured on.  ns/op rows
+// compare meaningfully only between reports from the same host.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// CurrentHost describes the running machine; CPU is the first "model
+// name" of /proc/cpuinfo where that exists, else the architecture.
+func CurrentHost() Host {
+	h := Host{
+		CPU:        runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // Report is the BENCH_*.json document: the microbenchmark suite plus an
 // optional end-to-end wall-time measurement of `wmmbench -short all` and
-// an optional repeated-sweep cache-effectiveness measurement.
+// an optional repeated-sweep cache-effectiveness measurement.  A ledger
+// entry also carries the rows of the commit it changes (Parent),
+// measured on the same Host, so its before and after numbers compare.
 type Report struct {
 	GoOS            string       `json:"goos"`
 	GoArch          string       `json:"goarch"`
+	Host            *Host        `json:"host,omitempty"`
 	Short           bool         `json:"short"`
 	ShortAllSeconds float64      `json:"short_all_seconds,omitempty"`
 	RepeatedSweep   *SweepReport `json:"repeated_sweep,omitempty"`
 	Results         []Result     `json:"results"`
+	Parent          []Result     `json:"parent,omitempty"`
 }
 
 // Run executes the suite via testing.Benchmark and collects Results.
@@ -168,17 +223,22 @@ func Run(short bool, logf func(format string, args ...any)) []Result {
 	for _, pb := range Benchmarks(short) {
 		r := testing.Benchmark(pb.Fn)
 		res := Result{
-			Name:        pb.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
+			Name:            pb.Name,
+			NsPerOp:         float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:     float64(r.AllocsPerOp()),
+			BytesPerOp:      float64(r.AllocedBytesPerOp()),
+			AllocsTolerance: pb.AllocsTolerance,
 		}
 		if pb.Cycles > 0 {
 			res.CyclesPerSec = float64(pb.Cycles) * float64(r.N) / r.T.Seconds()
 		}
+		res.RunsPerSec, res.StatesPerSec = r.Extra["runs/s"], r.Extra["states/s"]
 		if logf != nil {
-			logf("%-20s %12.0f ns/op %8.0f allocs/op %14.0f cycles/sec\n",
-				pb.Name, res.NsPerOp, res.AllocsPerOp, res.CyclesPerSec)
+			rate := fmt.Sprintf("%14.0f cycles/sec", res.CyclesPerSec)
+			if res.RunsPerSec > 0 {
+				rate = fmt.Sprintf("%14.0f runs/sec %10.0f states/sec", res.RunsPerSec, res.StatesPerSec)
+			}
+			logf("%-22s %12.0f ns/op %8.0f allocs/op %s\n", pb.Name, res.NsPerOp, res.AllocsPerOp, rate)
 		}
 		out = append(out, res)
 	}
@@ -187,8 +247,9 @@ func Run(short bool, logf func(format string, args ...any)) []Result {
 
 // Compare checks cur against base with a relative tolerance on ns/op (CI
 // hosts are noisy; tol is typically 0.20) and an exact gate on allocs/op
-// (allocation counts are deterministic, so any growth is a regression).
-// It returns one message per violation.
+// (allocation counts are deterministic, so any growth is a regression),
+// except that a body declaring an AllocsTolerance may grow by that
+// fraction.  It returns one message per violation.
 func Compare(base, cur []Result, tol float64) []string {
 	byName := make(map[string]Result, len(base))
 	for _, r := range base {
@@ -204,7 +265,7 @@ func Compare(base, cur []Result, tol float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: ns/op %.0f exceeds baseline %.0f by more than %.0f%%",
 				c.Name, c.NsPerOp, b.NsPerOp, tol*100))
 		}
-		if c.AllocsPerOp > b.AllocsPerOp {
+		if c.AllocsPerOp > b.AllocsPerOp*(1+c.AllocsTolerance) {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f",
 				c.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
