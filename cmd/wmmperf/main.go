@@ -13,11 +13,12 @@
 //
 // The gate fails (exit 1) when any benchmark is more than -tolerance
 // slower than the baseline in ns/op, or allocates more per op at all
-// (allocation counts are deterministic).  With -sweep, the same
-// multi-experiment run is submitted twice to an in-process server with
-// the result cache enabled; the run fails unless the second pass is
-// served from the cache byte-identically, and the report records the
-// pass times and speedup.  With -parent, the rows of an earlier report
+// (allocation counts are deterministic; the explorer rows, whose counts
+// the Go runtime varies by a few dozen, may grow by 0.1%).  With
+// -sweep, the same multi-experiment run is submitted twice to an
+// in-process server with the result cache enabled; the run fails unless
+// the second pass is served from the cache byte-identically, and the
+// report records the pass times and speedup.  With -parent, the rows of an earlier report
 // measured on the same host (typically the parent commit's) are embedded
 // as the entry's before rows; a report from another host is refused.
 package main

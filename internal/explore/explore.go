@@ -462,16 +462,10 @@ func newExplorer(sp *Spec) (*explorer, error) {
 }
 
 // covered reports whether state fp, reached with combine sleep mask
-// slept, lies in a subtree an earlier visit already scheduled, and
-// records this visit if not.  The fingerprint omits the sleep set, yet a
-// core whose combine is asleep has a smaller choice domain, so a visit
-// under mask r covers a visitor under mask m only when r ⊆ m: every core
-// asleep for the first visitor is asleep for this one, the sleep set
-// only grows along a run, and so at every later choice the visitor's
-// domain is a subset of the first visitor's.  Every recorded mask is
-// kept; narrowing them to their intersection would be unsound, since
-// visits under {a} and {b} together do not cover a visitor with nothing
-// asleep.
+// slept, was already explored under some mask r ⊆ slept, whose subtree
+// then contains this visitor's (see "State dedup" in the package
+// comment), and records this visit if not.  Masks are kept, never
+// intersected.
 func (x *explorer) covered(fp, slept uint64) bool {
 	masks := x.visited[fp]
 	for _, r := range masks {

@@ -245,7 +245,7 @@ func (p *pairSource) IntChoice(c Choice) int64 {
 // on: every per-word storage array is zero outside the written-word set.
 func checkWrittenCovers(t *testing.T, m *Machine) {
 	t.Helper()
-	var written wordSet
+	var written bitset
 	var arrays [][]int64
 	var seqs [][]uint64
 	switch st := m.store.(type) {
@@ -258,7 +258,7 @@ func checkWrittenCovers(t *testing.T, m *Machine) {
 		seqs = append([][]uint64{st.seq}, st.viewSeq...)
 	}
 	for a := 0; a < m.memWords; a++ {
-		if written[a>>6]&(1<<(a&63)) != 0 {
+		if written.has(int64(a)) {
 			continue
 		}
 		for _, arr := range arrays {
@@ -340,6 +340,10 @@ func TestFingerprintSparseSections(t *testing.T) {
 				false},
 			{"predictor counter moved off 1", nop,
 				func(m *Machine) { m.cores[0].pred.update(12, true) },
+				false},
+			{"a different predictor counter moved off 1",
+				func(m *Machine) { m.cores[0].pred.table[3] = 2 },
+				func(m *Machine) { m.cores[0].pred.table[5] = 2 },
 				false},
 			{"predictor counter moved back to 1", nop,
 				func(m *Machine) { m.cores[0].pred.update(12, true); m.cores[0].pred.update(12, false) },

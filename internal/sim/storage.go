@@ -67,9 +67,28 @@ type storage interface {
 	setChoices(cs ChoiceSource)
 }
 
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int64) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) add(i int64)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) reset()           { clear(b) }
+
+// each calls fn for every member, in increasing order.
+func (b bitset) each(fn func(i int64)) {
+	for w, word := range b {
+		for word != 0 {
+			fn(int64(w)<<6 | int64(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+}
+
 // touchSet tracks first-touch state per cache line.
 type touchSet struct {
-	bits      []uint64
+	bits      bitset
 	lineShift uint
 }
 
@@ -78,55 +97,21 @@ func newTouchSet(memWords int, lineWords int) *touchSet {
 	for w := lineWords; w > 1; w >>= 1 {
 		shift++
 	}
-	lines := (memWords >> shift) + 1
-	return &touchSet{bits: make([]uint64, (lines+63)/64), lineShift: shift}
+	return &touchSet{bits: newBitset((memWords >> shift) + 1), lineShift: shift}
 }
 
-func (t *touchSet) touched(line int64) bool {
-	i := uint64(line)
-	return t.bits[i/64]&(1<<(i%64)) != 0
-}
-
-func (t *touchSet) touch(line int64) {
-	i := uint64(line)
-	t.bits[i/64] |= 1 << (i % 64)
-}
-
-func (t *touchSet) reset() {
-	for i := range t.bits {
-		t.bits[i] = 0
-	}
-}
-
-// wordSet records which memory words a run has written.  write and
-// commitStore add to it; deliver and observeExclusive only install
-// writes that were committed first, so the set covers every word of
-// every per-word array (memory, commit sequences, visibility times and
-// each core's view) that differs from zero.  Reset and Fingerprint walk
-// it instead of the whole memory.
-type wordSet []uint64
-
-func newWordSet(words int) wordSet { return make(wordSet, (words+63)/64) }
-
-func (w wordSet) add(addr int64) { w[addr>>6] |= 1 << (addr & 63) }
-
-// each calls fn for every member, in increasing address order.
-func (w wordSet) each(fn func(addr int64)) {
-	for i, b := range w {
-		for b != 0 {
-			fn(int64(i)<<6 | int64(bits.TrailingZeros64(b)))
-			b &= b - 1
-		}
-	}
-}
-
-func (w wordSet) reset() { clear(w) }
+func (t *touchSet) touched(line int64) bool { return t.bits.has(line) }
+func (t *touchSet) touch(line int64)        { t.bits.add(line) }
+func (t *touchSet) reset()                  { t.bits.reset() }
 
 // mcaStorage is the other-multi-copy-atomic storage subsystem.
 type mcaStorage struct {
-	mem     []int64
-	seq     []uint64
-	written wordSet
+	mem []int64
+	seq []uint64
+	// written holds every word write or commitStore has set: mem and seq
+	// are zero outside it, so Reset and Fingerprint walk it instead of
+	// the whole memory.
+	written bitset
 	commit  uint64
 	caches  []*l1 // per-core private caches (timing invalidation sinks)
 	touch   *touchSet
@@ -136,7 +121,7 @@ func newMCAStorage(memWords, lineWords int, caches []*l1) *mcaStorage {
 	return &mcaStorage{
 		mem:     make([]int64, memWords),
 		seq:     make([]uint64, memWords),
-		written: newWordSet(memWords),
+		written: newBitset(memWords),
 		caches:  caches,
 		touch:   newTouchSet(memWords, lineWords),
 	}
@@ -266,8 +251,13 @@ type nonMCAStorage struct {
 	// hwsync must wait until everything ordered before that store (the
 	// release's group) has reached this core.
 	masterVis []int64
-	written   wordSet
-	commit    uint64
+	// written holds every word write or commitStore has set.  deliver and
+	// observeExclusive only install writes committed first, so every
+	// per-word array — master, seq, masterVis and each core's view — is
+	// zero outside it, and Reset and Fingerprint walk it instead of the
+	// whole memory.
+	written bitset
+	commit  uint64
 
 	cores int
 	// Per-core view of memory: the newest value/seq that has propagated
@@ -304,7 +294,7 @@ func newNonMCAStorage(memWords, lineWords, cores int, propMin, propMax int64, pr
 		master:    make([]int64, memWords),
 		seq:       make([]uint64, memWords),
 		masterVis: make([]int64, memWords),
-		written:   newWordSet(memWords),
+		written:   newBitset(memWords),
 		cores:     cores,
 		views:     make([][]int64, cores),
 		viewSeq:   make([][]uint64, cores),
