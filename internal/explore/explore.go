@@ -346,6 +346,10 @@ type explorer struct {
 	visited map[uint64][]uint64
 	// progs caches built programs per (thread, stagger).
 	progs map[[2]int64]arch.Program
+	// picks and recs keep the capacity of the last run's choice
+	// records, so runs do not regrow them from empty.
+	picks []int
+	recs  []choiceRec
 }
 
 // Explore enumerates the reachable outcomes of sp.
@@ -477,15 +481,20 @@ func (x *explorer) covered(fp, slept uint64) bool {
 	return false
 }
 
-// execute performs one machine run under the given pick prefix.
+// execute performs one machine run under the given pick prefix.  The
+// returned controller's picks and recs reuse the explorer's buffers:
+// they are valid until the next execute.
 func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) {
 	sp := x.sp
 	ctl := &controller{
 		x:         x,
 		prefix:    prefix,
+		picks:     x.picks[:0],
+		recs:      x.recs[:0],
 		replay:    replay != nil,
 		lastCycle: -1,
 	}
+	defer func() { x.picks, x.recs = ctl.picks, ctl.recs }()
 
 	// Alignment: one virtual choice per thread, made before the machine
 	// starts (no machine state to dedup against).
