@@ -14,7 +14,7 @@
 // The gate fails (exit 1) when any benchmark is more than -tolerance
 // slower than the baseline in ns/op, or allocates more per op at all
 // (allocation counts are deterministic; the explorer rows, whose counts
-// the Go runtime varies by a few dozen, may grow by 0.1%).  With
+// the Go runtime varies by a few, may grow by 0.1%).  With
 // -sweep, the same multi-experiment run is submitted twice to an
 // in-process server with the result cache enabled; the run fails unless
 // the second pass is served from the cache byte-identically, and the

@@ -9,7 +9,7 @@ import (
 )
 
 // exploreAllocsTolerance bounds the explorer rows' allocs/op growth at
-// 0.1%: far above the few dozen allocations identical runs differ by,
+// 0.1%: far above the few allocations identical runs differ by,
 // far below the thousands one extra allocation per machine run adds.
 const exploreAllocsTolerance = 0.001
 

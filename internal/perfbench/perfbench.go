@@ -27,8 +27,8 @@ type Bench struct {
 	// drive the raw cycle loop; zero for sample-level bodies.
 	Cycles int64
 	// AllocsTolerance is the relative allocs/op growth Compare accepts:
-	// zero (exact) except for the explorer bodies, whose hundred thousand
-	// allocations per op vary by a few dozen between identical runs (GC
+	// zero (exact) except for the explorer bodies, whose tens of thousands
+	// of allocations per op vary by a few between identical runs (GC
 	// timing in the runtime's accounting, Go map growth).
 	AllocsTolerance float64
 }

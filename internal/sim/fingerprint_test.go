@@ -329,11 +329,12 @@ func TestFingerprintSparseSections(t *testing.T) {
 			}
 		}
 		nop := func(*Machine) {}
-		cases := []struct {
+		type pair struct {
 			name  string
 			a, b  func(m *Machine)
 			equal bool
-		}{
+		}
+		cases := []pair{
 			{"word written back to 0 keeps its seq",
 				func(m *Machine) { commit(m, 0, 5); commit(m, 0, 0); settle(m) },
 				func(m *Machine) { commit(m, 1, 5); commit(m, 1, 0); settle(m) },
@@ -357,11 +358,7 @@ func TestFingerprintSparseSections(t *testing.T) {
 		}
 		if prof.Flavor == arch.NonMCA {
 			published := func(m *Machine) { commit(m, 0, 7); settle(m) }
-			cases = append(cases, struct {
-				name  string
-				a, b  func(m *Machine)
-				equal bool
-			}{"view differs from master", published,
+			cases = append(cases, pair{"view differs from master", published,
 				func(m *Machine) {
 					published(m)
 					st := m.store.(*nonMCAStorage)
