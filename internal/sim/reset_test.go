@@ -249,6 +249,56 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestResetClearsDenseWrites covers both ways Reset clears the written
+// words: word by word in sparsely written 64-word blocks, and one clear
+// per run of densely written blocks, including a run ending in a partial
+// last block.  Afterwards every storage array must be zero and the
+// machine must fingerprint (under the full-scan reference) as a fresh
+// one does.
+func TestResetClearsDenseWrites(t *testing.T) {
+	const mem = 1000 // 15 full blocks and a partial one
+	for name, prof := range arch.Profiles() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Cores: 2, MemWords: mem, Seed: 3}
+			m, err := New(prof, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := int64(64); a < 300; a++ { // dense run across four blocks
+				m.WriteMem(a, a)
+			}
+			for _, a := range []int64{500, 510, 700} { // sparse blocks
+				m.WriteMem(a, 1)
+			}
+			for a := int64(900); a < mem; a++ { // dense, up to the partial tail
+				m.WriteMem(a, a)
+			}
+			// Committed stores set the sequence and visibility arrays too.
+			b := arch.NewBuilder()
+			b.MovImm(2, 7)
+			for a := int64(320); a < 400; a++ {
+				b.Store(2, 1, a)
+			}
+			b.Halt()
+			if err := m.LoadProgram(0, b.MustBuild()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(100_000); err != nil {
+				t.Fatal(err)
+			}
+			m.Reset(cfg.Seed)
+			checkWrittenCovers(t, m)
+			fresh, err := New(prof, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.referenceFingerprint() != fresh.referenceFingerprint() {
+				t.Fatal("reset machine differs from a fresh one")
+			}
+		})
+	}
+}
+
 // TestWarmupResetsAllCounters pins satellite semantics: every CoreStats
 // counter covers the post-warmup window, while SiteCounts covers the whole
 // run.

@@ -86,6 +86,33 @@ func (b bitset) each(fn func(i int64)) {
 	}
 }
 
+// clearMembers zeroes every member's index in every array, assuming the
+// arrays are already zero outside the set.  A 64-index block holding a
+// few members is cleared a store per member; runs of blocks holding
+// more are cleared with one memclr per run and array, so clearing a
+// dense set costs about what clearing every array whole does.
+func clearMembers[T int64 | uint64](b bitset, arrays ...[]T) {
+	const sparse = 8 // members per block cleared one store at a time
+	for w := 0; w < len(b); w++ {
+		if word := b[w]; bits.OnesCount64(word) <= sparse {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				for _, a := range arrays {
+					a[i] = 0
+				}
+			}
+			continue
+		}
+		lo := w << 6
+		for w+1 < len(b) && bits.OnesCount64(b[w+1]) > sparse {
+			w++
+		}
+		for _, a := range arrays {
+			clear(a[lo:min((w+1)<<6, len(a))])
+		}
+	}
+}
+
 // touchSet tracks first-touch state per cache line.
 type touchSet struct {
 	bits      bitset
@@ -109,8 +136,8 @@ type mcaStorage struct {
 	mem []int64
 	seq []uint64
 	// written holds every word write or commitStore has set: mem and seq
-	// are zero outside it, so Reset and Fingerprint walk it instead of
-	// the whole memory.
+	// are zero outside it, so Fingerprint walks it and Reset clears just
+	// its words (clearMembers) instead of the whole memory.
 	written bitset
 	commit  uint64
 	caches  []*l1 // per-core private caches (timing invalidation sinks)
@@ -178,7 +205,8 @@ func (s *mcaStorage) read(addr int64) int64 { return s.mem[addr] }
 func (s *mcaStorage) setChoices(ChoiceSource) {}
 
 func (s *mcaStorage) reset(uint64) {
-	s.written.each(func(a int64) { s.mem[a], s.seq[a] = 0, 0 })
+	clearMembers(s.written, s.mem)
+	clearMembers(s.written, s.seq)
 	s.written.reset()
 	s.commit = 0
 	s.touch.reset()
@@ -254,8 +282,8 @@ type nonMCAStorage struct {
 	// written holds every word write or commitStore has set.  deliver and
 	// observeExclusive only install writes committed first, so every
 	// per-word array — master, seq, masterVis and each core's view — is
-	// zero outside it, and Reset and Fingerprint walk it instead of the
-	// whole memory.
+	// zero outside it, so Fingerprint walks it and Reset clears just its
+	// words (clearMembers) instead of the whole memory.
 	written bitset
 	commit  uint64
 
@@ -480,12 +508,11 @@ func (s *nonMCAStorage) write(addr, val int64) {
 func (s *nonMCAStorage) read(addr int64) int64 { return s.master[addr] }
 
 func (s *nonMCAStorage) reset(seed uint64) {
-	s.written.each(func(a int64) {
-		s.master[a], s.seq[a], s.masterVis[a] = 0, 0, 0
-		for c := 0; c < s.cores; c++ {
-			s.views[c][a], s.viewSeq[c][a], s.viewVis[c][a] = 0, 0, 0
-		}
-	})
+	clearMembers(s.written, s.master, s.masterVis)
+	clearMembers(s.written, s.seq)
+	clearMembers(s.written, s.views...)
+	clearMembers(s.written, s.viewSeq...)
+	clearMembers(s.written, s.viewVis...)
 	s.written.reset()
 	s.commit = 0
 	for c := 0; c < s.cores; c++ {
