@@ -9,18 +9,15 @@
 //	wmmperf -short -baseline BENCH_8.json          # measure and gate (CI)
 //	wmmperf -shortall                              # also time `wmmbench -short all`
 //	wmmperf -sweep                                 # also measure repeated-sweep caching
-//	wmmperf -short -parent old.json -out BENCH_9.json  # ledger entry with before rows
 //
 // The gate fails (exit 1) when any benchmark is more than -tolerance
 // slower than the baseline in ns/op, or allocates more per op at all
 // (allocation counts are deterministic; the explorer rows, whose counts
-// the Go runtime varies by a few, may grow by 0.1%).  With
-// -sweep, the same multi-experiment run is submitted twice to an
-// in-process server with the result cache enabled; the run fails unless
-// the second pass is served from the cache byte-identically, and the
-// report records the pass times and speedup.  With -parent, the rows of an earlier report
-// measured on the same host (typically the parent commit's) are embedded
-// as the entry's before rows; a report from another host is refused.
+// the Go runtime varies by a few, may grow by 0.1%).  With -sweep, the same
+// multi-experiment run is submitted twice to an in-process server with
+// the result cache enabled; the run fails unless the second pass is
+// served from the cache byte-identically, and the report records the
+// pass times and speedup.
 package main
 
 import (
@@ -43,7 +40,6 @@ func main() {
 		tolerance = flag.Float64("tolerance", 0.20, "relative ns/op slowdown tolerated against the baseline")
 		shortAll  = flag.Bool("shortall", false, "also measure wall time of the full `wmmbench -short all` run")
 		sweep     = flag.Bool("sweep", false, "also measure the repeated-sweep result-cache scenario")
-		parent    = flag.String("parent", "", "embed this same-host report's rows as the before rows")
 	)
 	flag.Parse()
 
@@ -53,18 +49,6 @@ func main() {
 		GoArch: runtime.GOARCH,
 		Host:   &host,
 		Short:  *short,
-	}
-	if *parent != "" {
-		before, err := readReport(*parent)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wmmperf: reading parent: %v\n", err)
-			os.Exit(1)
-		}
-		if before.Host == nil || *before.Host != host {
-			fmt.Fprintf(os.Stderr, "wmmperf: parent %s was not measured on this host (%+v)\n", *parent, host)
-			os.Exit(1)
-		}
-		rep.Parent = before.Results
 	}
 	rep.Results = perfbench.Run(*short, func(format string, args ...any) {
 		fmt.Printf(format, args...)
@@ -108,9 +92,14 @@ func main() {
 	}
 
 	if *baseline != "" {
-		base, err := readReport(*baseline)
+		data, err := os.ReadFile(*baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wmmperf: reading baseline: %v\n", err)
+			os.Exit(1)
+		}
+		var base perfbench.Report
+		if err := json.Unmarshal(data, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "wmmperf: parsing baseline: %v\n", err)
 			os.Exit(1)
 		}
 		if bad := perfbench.Compare(base.Results, rep.Results, *tolerance); len(bad) > 0 {
@@ -122,14 +111,4 @@ func main() {
 		}
 		fmt.Printf("no regression against %s (tolerance %.0f%%)\n", *baseline, *tolerance*100)
 	}
-}
-
-func readReport(path string) (perfbench.Report, error) {
-	var rep perfbench.Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	err = json.Unmarshal(data, &rep)
-	return rep, err
 }
