@@ -18,8 +18,8 @@ func TestCompare(t *testing.T) {
 		{"ns within tolerance", Result{Name: "SimCycles/armv8", NsPerOp: 119}, false},
 		{"ns beyond tolerance", Result{Name: "SimCycles/armv8", NsPerOp: 121}, true},
 		{"one extra alloc on an exact row", Result{Name: "SimCycles/armv8", NsPerOp: 100, AllocsPerOp: 1}, true},
-		{"allocs within the row's tolerance", Result{Name: "Explore/SB/armv8", NsPerOp: 100, AllocsPerOp: 10_009, AllocsTolerance: 0.001}, false},
-		{"allocs beyond the row's tolerance", Result{Name: "Explore/SB/armv8", NsPerOp: 100, AllocsPerOp: 10_011, AllocsTolerance: 0.001}, true},
+		{"allocs within the row's tolerance", Result{Name: "Explore/SB/armv8", NsPerOp: 100, AllocsPerOp: 10_009, allocsTolerance: 0.001}, false},
+		{"allocs beyond the row's tolerance", Result{Name: "Explore/SB/armv8", NsPerOp: 100, AllocsPerOp: 10_011, allocsTolerance: 0.001}, true},
 		{"allocs growth without a tolerance", Result{Name: "Explore/SB/armv8", NsPerOp: 100, AllocsPerOp: 10_001}, true},
 		{"row missing from the baseline", Result{Name: "ExploreGate/jvm/armv8", NsPerOp: 1e9, AllocsPerOp: 1e6}, false},
 	}
