@@ -91,7 +91,7 @@
 // across tenants by weighted round-robin (-tenant-weights), so one
 // tenant's flood cannot starve another's runs; -tenant-max-queued and
 // -tenant-max-running bound each tenant's admitted jobs and concurrent
-// runs, refused with 429 + Retry-After.
+// runs, campaigns and optimizer jobs, refused with 429 + Retry-After.
 //
 // With -ha (requires -data), the process joins leader election over the
 // store's coordinator lease: at most one wmmd serves the API while the
@@ -211,7 +211,7 @@ func main() {
 	cacheRetain := flag.Duration("cache-retain", 7*24*time.Hour, "garbage-collect persisted result-cache entries after this long (0 = keep forever)")
 	storeKind := flag.String("store", runstore.KindJSONL, "run-store layout under -data: jsonl or segment")
 	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "max unfinished jobs admitted per tenant (0 = only -max-queue applies)")
-	tenantMaxRunning := flag.Int("tenant-max-running", 0, "max concurrently executing runs per tenant (0 = unbounded)")
+	tenantMaxRunning := flag.Int("tenant-max-running", 0, "max concurrently executing jobs (runs, litmus campaigns, optimizer jobs) per tenant (0 = unbounded)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-share weights as tenant=N[,tenant=N...] (default weight 1)")
 	haMode := flag.Bool("ha", false, "join leader election over the run store's coordinator lease (requires -data)")
 	haID := flag.String("ha-id", "", "lease owner identity for -ha (default hostname-pid)")

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/optimize"
 	"repro/internal/resultcache"
 )
 
@@ -29,8 +28,9 @@ var ErrTenantSaturated = errors.New("tenant queue quota exceeded")
 const DefaultTenant = "default"
 
 // DispatchOptions configures the sharded execution backend: a queue of
-// experiment jobs served by local executor slots and by remote
-// wmmworker processes leasing batches over HTTP.
+// cells — experiment jobs, litmus shards, optimizer cells — served by
+// local executor slots and by remote wmmworker processes leasing
+// batches over HTTP.
 type DispatchOptions struct {
 	// LocalSlots is the number of local executor goroutines pulling from
 	// the shared queue.  0 means the server's default experiment
@@ -61,15 +61,17 @@ type DispatchOptions struct {
 	// weighted round-robin dequeue (default weight 1).  A tenant with
 	// weight 2 gets two dequeues per rotation where the others get one.
 	TenantWeights map[string]int
-	// OnAssign, when non-nil, observes every remote assignment (a job
-	// handed to a worker under a lease).  The server uses it to write
-	// assignment records to the run store.
+	// OnAssign, when non-nil, observes every remote assignment (a cell
+	// handed to a worker under a lease).  The server uses it to count
+	// assignments and to write assignment records for the jobs its run
+	// store persists.
 	OnAssign func(runID, experiment, worker string)
-	// Cache, when non-nil, is consulted before every experiment job is
-	// enqueued: an identical job (by content hash — see ResultKey) that
-	// already completed is served from the cache, and identical jobs in
-	// flight are merged single-flight so overlapping runs execute each
-	// distinct job once.  Litmus shard jobs are not cached.
+	// Cache, when non-nil, is consulted before every keyed cell is
+	// enqueued: an identical cell (by content hash — see ResultKey and
+	// OptimizeCellKey) that already completed is served from the cache,
+	// and identical cells in flight are merged single-flight so
+	// overlapping jobs execute each distinct cell once.  Cells without a
+	// key (litmus shards) are never cached.
 	Cache *resultcache.Cache
 }
 
@@ -102,38 +104,29 @@ func (o DispatchOptions) withDefaults(defaultSlots int) DispatchOptions {
 	return o
 }
 
-// dispatchJob is one experiment job flowing through the shared queue.
-// Its lifecycle is enqueue → (local pickup | lease) → finish, with
-// lease expiry pushing it back to enqueue.  All mutable fields are
-// guarded by the dispatcher's mutex; finish-exactly-once is enforced by
-// the done flag, so a late result upload for a job that was already
-// re-executed (or cancelled) is dropped instead of delivered twice.
+// dispatchJob is one cell flowing through the shared queue.  Its
+// lifecycle is enqueue → (local pickup | lease) → finish, with lease
+// expiry pushing it back to enqueue.  All mutable fields are guarded by
+// the dispatcher's mutex; finish-exactly-once is enforced by the done
+// flag, so a late result upload for a job that was already re-executed
+// (or cancelled) is dropped instead of delivered twice.
 type dispatchJob struct {
 	runID  string
 	tenant string
-	name   string
-	opts   RunOptions
-	// litmus, when non-nil, makes this a litmus-shard job instead of an
-	// experiment job; name then carries the shard name.
-	litmus *LitmusShard
-	// optimize, when non-nil, makes this an optimizer-cell job; name
-	// then carries the cell name.
-	optimize *optimize.Cell
-	ctx      context.Context
+	cell   Cell
+	ctx    context.Context
 
-	started func(name string) // ExperimentStarted relay; fired once
-	deliver func(res *Result) // resolves the run's waiter; called once
+	sink    Sink              // progress relay; ExperimentStarted fires once
+	deliver func(res *Result) // resolves the job's waiter; called once
 
 	done         bool
 	startedFired bool
-	semHeld      bool // holds one of its run's parallel slots
+	semHeld      bool // holds one of its job's parallel slots
 	sem          chan struct{}
 
-	// cacheKey is the job's content hash ("" = the run bypassed the cache
-	// or no cache is configured).  cacheLead marks the job as its key's
-	// single-flight leader: its finish must settle the key (Fulfill on
-	// success, Abandon otherwise) because followers are parked on it.
-	cacheKey  string
+	// cacheLead marks the job as its key's single-flight leader: its
+	// finish must settle the key (Fulfill on success, Abandon otherwise)
+	// because followers are parked on it.
 	cacheLead bool
 }
 
@@ -187,13 +180,12 @@ type tenantQueue struct {
 	admitted int // jobs admitted for this tenant, not yet finished
 }
 
-// Dispatcher shards runs' experiment jobs across local executor slots
-// and remote workers leasing batches over HTTP.  Because every job is
-// fully determined by (experiment, seed, samples, short) — positional
-// seed derivation all the way down — it does not matter which process
-// executes a job, how often it is re-executed after a lost lease, or in
-// what order jobs complete: the assembled run is byte-identical to a
-// purely local one.
+// Dispatcher shards jobs' cells across local executor slots and remote
+// workers leasing batches over HTTP.  Because every cell is fully
+// determined by its descriptor — positional seed derivation all the way
+// down — it does not matter which process executes a cell, how often it
+// is re-executed after a lost lease, or in what order cells complete:
+// the assembled job is byte-identical to a purely local one.
 // Queued jobs live in per-tenant queues drained by a credit-based
 // weighted round-robin, so one tenant flooding the queue delays its own
 // later jobs, not other tenants' — a saturating tenant cannot starve a
@@ -216,6 +208,7 @@ type Dispatcher struct {
 	notify   chan struct{} // wakes one blocked local slot
 	stop     chan struct{}
 	stopOnce sync.Once
+	slots    sync.WaitGroup // local slots that have not returned
 }
 
 // NewDispatcher starts a dispatcher over the engine.  defaultSlots is
@@ -232,6 +225,7 @@ func NewDispatcher(eng *Engine, o DispatchOptions, defaultSlots int) *Dispatcher
 		stop:   make(chan struct{}),
 	}
 	for i := 0; i < o.LocalSlots; i++ {
+		d.slots.Add(1)
 		go d.localSlot()
 	}
 	go d.reaper()
@@ -239,8 +233,10 @@ func NewDispatcher(eng *Engine, o DispatchOptions, defaultSlots int) *Dispatcher
 }
 
 // Close stops the local slots and the lease reaper.  In-flight local
-// executions finish on their own (their run contexts bound them); call
-// Close only after every run has been cancelled or completed.
+// executions finish on their own (their run contexts bound them), and a
+// slot returns once its cell does; call Close only after every run has
+// been cancelled or completed, then wait on d.slots before closing the
+// engine the slots execute on.
 func (d *Dispatcher) Close() {
 	d.stopOnce.Do(func() { close(d.stop) })
 }
@@ -333,208 +329,53 @@ func (d *Dispatcher) admitForce(tenant string, n int) {
 	d.mu.Unlock()
 }
 
-// Run shards the named experiments across the queue and assembles their
-// results in request order, with the same error semantics as
-// Engine.Run: the first failure in request order is returned alongside
-// the full result set.  reserved is how many jobs the caller already
-// admitted via TryAdmit (0 for resumed runs, which bypass admission).
-// tenant names the fair-share queue the jobs join ("" = "default").
-func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, names []string, o RunOptions, sink Sink, reserved int) ([]*Result, error) {
+// Run fans one wave of a job's cells across the queue and returns their
+// results in cell order.  Each cell resolves exactly once — from a local
+// slot, a leased worker or the result cache — however often a lost
+// lease re-queues it; the first failure in cell order is returned
+// alongside the full result set.  reserved is how many cells
+// the caller already admitted via TryAdmit (0 for resumed jobs and later
+// waves, which bypass admission).  tenant names the fair-share queue the
+// cells join ("" = "default"), and at most parallel of them are in
+// flight across the whole fleet at once.
+func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, cells []Cell, parallel int, sink Sink, reserved int) ([]*Result, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	var exps []experiments.Experiment
-	if len(names) == 0 {
-		exps = experiments.All()
-	} else {
-		for _, name := range names {
-			ex, err := experiments.ByName(name)
-			if err != nil {
-				d.admitForce(tenant, -reserved)
-				return nil, err
-			}
-			exps = append(exps, ex)
-		}
-	}
-
-	parallel := o.Parallel
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(exps) {
-		parallel = len(exps)
-	}
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, min(max(parallel, 1), len(cells)))
 
 	// Build every job up front so the cancellation watcher sees the full
 	// set even while the enqueue loop is still throttling.
-	results := make([]*Result, len(exps))
-	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, ex := range exps {
-		if prev, ok := o.Completed[ex.Name]; ok && prev != nil {
-			// Restored from a checkpoint: no execution, no sink events.
-			results[i] = prev
-			continue
-		}
-		i := i
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:  runID,
-			tenant: tenant,
-			name:   ex.Name,
-			opts:   RunOptions{Samples: o.Samples, Seed: o.Seed, Short: o.Short, Adaptive: o.Adaptive},
-			ctx:    ctx,
-			sem:    sem,
-		}
-		if d.opt.Cache != nil && !o.NoCache {
-			j.cacheKey = ResultKey(ex.Name, j.opts)
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
-	}
-
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// RunLitmus shards a litmus campaign across the queue, exactly as Run
-// shards experiments: shard jobs mix with experiment jobs on the same
-// queue, under the same leases, with the same finish-once and requeue
-// semantics.  Results come back in shard order.
-func (d *Dispatcher) RunLitmus(ctx context.Context, runID, tenant string, shards []LitmusShard, parallel int, sink Sink, reserved int) ([]*Result, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(shards) {
-		parallel = len(shards)
-	}
-	sem := make(chan struct{}, parallel)
-
-	results := make([]*Result, len(shards))
-	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, sh := range shards {
-		sh := sh
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:  runID,
-			tenant: tenant,
-			name:   sh.name(),
-			litmus: &sh,
-			ctx:    ctx,
-			sem:    sem,
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		i := i
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
-	}
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// RunOptimizeCells fans one wave of optimizer cells across the queue,
-// exactly as RunLitmus fans shards — same leases, same finish-once and
-// requeue semantics, results in cell order.  Unlike litmus shards,
-// cells are content-addressed: identical cells (same engine version,
-// cell identity and normalised spec) resolve from the result cache, so
-// a resubmitted job re-measures nothing.
-func (d *Dispatcher) RunOptimizeCells(ctx context.Context, runID, tenant string, cells []optimize.Cell, parallel int, noCache bool, sink Sink, reserved int) ([]*Result, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-	sem := make(chan struct{}, parallel)
-
 	results := make([]*Result, len(cells))
 	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, cell := range cells {
-		cell := cell
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:    runID,
-			tenant:   tenant,
-			name:     cell.Name(),
-			optimize: &cell,
-			ctx:      ctx,
-			sem:      sem,
-		}
-		if d.opt.Cache != nil && !noCache {
-			if key, err := OptimizeCellKey(cell); err == nil {
-				j.cacheKey = key
-			}
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		i := i
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
+	wg.Add(len(cells))
+	jobs := make([]*dispatchJob, len(cells))
+	for i, c := range cells {
+		jobs[i] = &dispatchJob{runID: runID, tenant: tenant, cell: c, ctx: ctx, sink: sink, sem: sem,
+			deliver: func(res *Result) {
+				results[i] = res
 				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
+				wg.Done()
+			}}
 	}
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// drive is the shared dispatch tail: reconcile the admission
-// reservation, arm the cancellation watcher, enqueue under the run's
-// parallelism budget, and assemble the first failure in request order.
-func (d *Dispatcher) drive(ctx context.Context, tenant string, jobs []*dispatchJob, sem chan struct{}, wg *sync.WaitGroup, results []*Result, reserved int) ([]*Result, error) {
-	// Reconcile the caller's reservation with the jobs actually created
-	// (a resumed run reserves nothing; restored experiments need no slot).
+	// Reconcile the caller's reservation with the cells actually queued.
 	d.admitForce(tenant, len(jobs)-reserved)
 
 	// The watcher resolves every unfinished job the moment the run's
 	// context ends: queued jobs are withdrawn, leased jobs are written
 	// off (a late upload is dropped by the done guard), and locally
 	// executing jobs are aborted by the context itself — their eventual
-	// finish is then a no-op.
-	watcherDone := make(chan struct{})
+	// finish is then a no-op under the finish-once guard.  The caller's
+	// context always ends, at the latest when the job it belongs to
+	// finishes, which stops the watcher.
 	go func() {
-		defer close(watcherDone)
 		<-ctx.Done()
 		d.cancelJobs(jobs, ctx.Err())
 	}()
 
-	// Enqueue under the run's parallelism budget: at most `parallel`
-	// jobs of this run are in flight across the whole fleet at once.
-	// Cache-resolved jobs (hits and single-flight followers) consume no
-	// slot — only jobs that will actually execute are throttled.
+	// Enqueue under the run's parallelism budget.  Cache-resolved jobs
+	// (hits and single-flight followers) consume no slot — only jobs that
+	// will actually execute are throttled.
 	for _, j := range jobs {
 		if d.consultCache(j) {
 			continue
@@ -570,15 +411,15 @@ func (d *Dispatcher) drive(ctx context.Context, tenant string, jobs []*dispatchJ
 // single-flight leader.
 func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 	c := d.opt.Cache
-	if c == nil || j.cacheKey == "" {
+	if c == nil || j.cell.Key == "" {
 		return false
 	}
-	data, src, state := c.Acquire(j.cacheKey, func(data []byte, ok bool) {
+	data, src, state := c.Acquire(j.cell.Key, func(data []byte, ok bool) {
 		d.onLeaderSettled(j, data, ok)
 	})
 	switch state {
 	case resultcache.Hit:
-		if res := decodeCachedResult(data, j.name); res != nil {
+		if res := decodeCachedResult(data, j.cell.Name); res != nil {
 			res.Cache = src
 			d.fireStarted(j)
 			d.finish(j, res, "cache")
@@ -588,7 +429,7 @@ func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 		// result (e.g. a corrupted persisted file).  Drop it and lead a
 		// fresh execution — the Fulfill on success overwrites both layers
 		// with good bytes, so the cache self-heals.
-		c.Delete(j.cacheKey)
+		c.Delete(j.cell.Key)
 		j.cacheLead = true
 		return false
 	case resultcache.Leader:
@@ -606,7 +447,7 @@ func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 // re-entering the enqueue path off the leader's goroutine.
 func (d *Dispatcher) onLeaderSettled(j *dispatchJob, data []byte, ok bool) {
 	if ok {
-		if res := decodeCachedResult(data, j.name); res != nil {
+		if res := decodeCachedResult(data, j.cell.Name); res != nil {
 			res.Cache = resultcache.SourceSingleflight
 			d.fireStarted(j)
 			d.finish(j, res, "cache")
@@ -756,6 +597,7 @@ func (d *Dispatcher) pop() *dispatchJob {
 // and runs them on the engine, exactly as a remote worker would in its
 // own process.
 func (d *Dispatcher) localSlot() {
+	defer d.slots.Done()
 	for {
 		j := d.pop()
 		if j == nil {
@@ -778,18 +620,10 @@ func (d *Dispatcher) execute(j *dispatchJob) {
 		res = d.cancelledResult(j, err)
 	} else {
 		var rerr error
-		if j.litmus != nil {
-			res, rerr = RunLitmusShard(j.ctx, *j.litmus)
-		} else if j.optimize != nil {
-			res, rerr = RunOptimizeCell(j.ctx, *j.optimize)
-		} else {
-			res, rerr = d.eng.RunExperiment(j.ctx, j.name, j.opts)
-		}
-		if rerr != nil {
-			// Unknown experiment or malformed shard — validated at
-			// submission, so this is defensive; surface it as a failed
-			// result.
-			res = &Result{Experiment: j.name, Status: StatusFailed, Err: rerr.Error()}
+		if res, rerr = d.eng.RunCell(j.ctx, j.cell.Kind, j.cell.Desc); rerr != nil {
+			// A malformed cell — validated at submission, so this is
+			// defensive; surface it as a failed result.
+			res = &Result{Experiment: j.cell.Name, Status: StatusFailed, Err: rerr.Error()}
 		}
 	}
 	d.finish(j, res, "local")
@@ -803,7 +637,7 @@ func (d *Dispatcher) fireStarted(j *dispatchJob) {
 	j.startedFired = true
 	d.mu.Unlock()
 	if fire {
-		j.started(j.name)
+		j.sink.ExperimentStarted(j.cell.Name)
 	}
 }
 
@@ -851,11 +685,11 @@ func (d *Dispatcher) settleCache(j *dispatchJob, res *Result, mode string) {
 	}
 	if mode != "cancelled" && res != nil && res.Status == StatusOK && res.Cache == "" {
 		if data, err := json.Marshal(res); err == nil {
-			c.Fulfill(j.cacheKey, data)
+			c.Fulfill(j.cell.Key, data)
 			return
 		}
 	}
-	c.Abandon(j.cacheKey)
+	c.Abandon(j.cell.Key)
 }
 
 // cancelJobs resolves every unfinished job of a run whose context
@@ -893,8 +727,8 @@ func (d *Dispatcher) cancelJobs(jobs []*dispatchJob, cause error) {
 // cancelledResult synthesizes the result of a job written off by
 // cancellation, mirroring what runOne produces for a cancelled driver.
 func (d *Dispatcher) cancelledResult(j *dispatchJob, cause error) *Result {
-	r := &Result{Experiment: j.name, Status: StatusCancelled, Err: cause.Error()}
-	if ex, err := experiments.ByName(j.name); err == nil {
+	r := &Result{Experiment: j.cell.Name, Status: StatusCancelled, Err: cause.Error()}
+	if ex, err := experiments.ByName(j.cell.Name); err == nil {
 		r.Paper, r.Desc = ex.Paper, ex.Desc
 	}
 	return r
@@ -936,7 +770,7 @@ func (d *Dispatcher) Lease(worker string, max int) (id string, ttl time.Duration
 	for _, j := range granted {
 		d.fireStarted(j)
 		if d.opt.OnAssign != nil {
-			d.opt.OnAssign(j.runID, j.name, worker)
+			d.opt.OnAssign(j.runID, j.cell.Name, worker)
 		}
 	}
 	return id, d.opt.LeaseTTL, granted
@@ -989,7 +823,7 @@ func (d *Dispatcher) Complete(id string, uploaded []CompletedJob) (accepted, req
 	}
 	var missing []*dispatchJob
 	for _, j := range jobs {
-		if u := byKey[j.runID+"\x00"+j.name]; u != nil && u.Res != nil {
+		if u := byKey[j.runID+"\x00"+j.cell.Name]; u != nil && u.Res != nil {
 			if d.finish(j, u.Res, "remote") {
 				accepted++
 			}

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/runstore"
 	"repro/wmm/client"
 )
 
@@ -40,25 +42,25 @@ func decodeEnvelope(t *testing.T, resp *http.Response) (code, message string) {
 	return env.Err.Code, env.Err.Message
 }
 
-// TestDispatchCanonicalIdentity verifies the tentpole's core invariant
-// at the local-slots level: a run executed through the sharded
-// dispatcher (queue, slots, out-of-order completion) yields canonical
-// JSON byte-identical to the plain in-process Engine.Run path.
+// TestDispatchCanonicalIdentity verifies the dispatcher's core
+// invariant at the local-slots level: a run executed through the
+// sharded dispatcher (queue, slots, out-of-order completion) yields
+// canonical JSON byte-identical to the plain in-process Engine.Run.
 func TestDispatchCanonicalIdentity(t *testing.T) {
-	spec := `{"experiments": ["fig4", "txt3"], "short": true, "samples": 2, "seed": 3, "parallel": 2}`
-
-	tsLocal, _ := newTestServer(t) // no dispatcher: Engine.Run path
-	idLocal := postRun(t, tsLocal, spec)
-	if st := waitState(t, tsLocal, idLocal, 2*time.Minute); st.State != StateDone {
-		t.Fatalf("local run ended %s (err %q)", st.State, st.Error)
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	results, err := eng.Run(context.Background(), []string{"fig4", "txt3"},
+		RunOptions{Short: true, Samples: 2, Seed: 3, Parallel: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := testClient(tsLocal).CanonicalRun(context.Background(), idLocal)
+	want, err := CanonicalRunJSON(results)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tsDisp, _ := newDispatchServer(t, DispatchOptions{})
-	idDisp := postRun(t, tsDisp, spec)
+	idDisp := postRun(t, tsDisp, `{"experiments": ["fig4", "txt3"], "short": true, "samples": 2, "seed": 3, "parallel": 2}`)
 	if st := waitState(t, tsDisp, idDisp, 2*time.Minute); st.State != StateDone {
 		t.Fatalf("dispatched run ended %s (err %q)", st.State, st.Error)
 	}
@@ -68,7 +70,7 @@ func TestDispatchCanonicalIdentity(t *testing.T) {
 	}
 
 	if !bytes.Equal(got, want) {
-		t.Errorf("dispatched run diverged from local run:\n--- local ---\n%s\n--- dispatched ---\n%s", want, got)
+		t.Errorf("dispatched run diverged from Engine.Run:\n--- Engine.Run ---\n%s\n--- dispatched ---\n%s", want, got)
 	}
 }
 
@@ -219,20 +221,6 @@ func TestErrorEnvelope(t *testing.T) {
 			t.Errorf("code = %q, want %q", code, ErrCodeInvalidArgument)
 		}
 	})
-
-	t.Run("lease endpoints without dispatcher", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/api/v1/leases", "application/json",
-			strings.NewReader(`{"worker": "w1"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status = %d, want 503", resp.StatusCode)
-		}
-		if code, _ := decodeEnvelope(t, resp); code != ErrCodeUnavailable {
-			t.Errorf("code = %q, want %q", code, ErrCodeUnavailable)
-		}
-	})
 }
 
 // TestRunsPagination verifies cursor pagination on GET /api/v1/runs.
@@ -363,5 +351,92 @@ func TestDispatchShutdown(t *testing.T) {
 	}
 	if st.State != StateCancelled {
 		t.Errorf("run state after shutdown = %q, want %q", st.State, StateCancelled)
+	}
+}
+
+// TestAssignRecordsOnlyForRuns: worker assignments are written to the
+// store only for jobs the store persists.  Remote litmus shards and
+// optimizer cells used to leave fsync'd assign records under their job
+// IDs that no DELETE or retention sweep ever removed; a remote run's
+// assignments must still replay from Load.
+func TestAssignRecordsOnlyForRuns(t *testing.T) {
+	dir := t.TempDir()
+	store, err := runstore.OpenBackend(runstore.KindJSONL, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ts, _, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Store: store,
+		Dispatch: &DispatchOptions{LocalSlots: -1, LeaseTTL: time.Minute}})
+	cl := testClient(ts)
+
+	// One in-test worker executes every leased cell through RunCell, as
+	// cmd/wmmworker does.
+	eng := New(Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for ctx.Err() == nil {
+			grant, err := cl.Lease(ctx, "w1", 1)
+			if err != nil || len(grant.Jobs) == 0 {
+				time.Sleep(5 * time.Millisecond)
+				continue
+			}
+			var up []client.JobResult
+			for _, job := range grant.Jobs {
+				res, err := eng.RunCell(ctx, job.Kind, job.Cell)
+				if err != nil {
+					t.Errorf("cell %s/%s: %v", job.RunID, job.Experiment, err)
+					continue
+				}
+				raw, _ := json.Marshal(res)
+				up = append(up, client.JobResult{RunID: job.RunID, Experiment: job.Experiment, Result: raw})
+			}
+			cl.UploadResults(ctx, grant.LeaseID, up)
+		}
+	}()
+	t.Cleanup(func() { cancel(); <-stopped })
+
+	wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer wcancel()
+	lit := submitLitmus(t, ts, litmusSpecJSON)
+	if st, err := cl.WaitLitmus(wctx, lit.ID, 20*time.Millisecond); err != nil || st.State != client.StateDone {
+		t.Fatalf("remote campaign: state %q err %v", st.State, err)
+	}
+	opt := submitOptimize(t, ts, optSpecJSON)
+	if st, err := cl.WaitOptimize(wctx, opt.ID, 20*time.Millisecond); err != nil || st.State != client.StateDone {
+		t.Fatalf("remote optimize job: state %q err %v", st.State, err)
+	}
+	run := postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`)
+	if st := waitState(t, ts, run, 2*time.Minute); st.State != StateDone {
+		t.Fatalf("remote run ended %s (err %q)", st.State, st.Error)
+	}
+	if _, err := cl.CancelLitmus(wctx, lit.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.CancelOptimize(wctx, opt.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "litmus-") || strings.HasPrefix(e.Name(), "optimize-") {
+			t.Errorf("data dir holds %s for a job the store never persists", e.Name())
+		}
+	}
+	recs, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != run {
+		t.Fatalf("store replays %d records, want only %s", len(recs), run)
+	}
+	if as := recs[0].Assignments; len(as) != 1 || as[0].Name != "fig4" || as[0].Worker != "w1" {
+		t.Errorf("run assignments replayed as %+v, want fig4 on w1", as)
 	}
 }

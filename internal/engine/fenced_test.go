@@ -86,7 +86,7 @@ func TestFencedSubmitRefused(t *testing.T) {
 	// and the dispatcher/active accounting was unwound (Shutdown in the
 	// test cleanup would hang on a leaked active.Add).
 	api.mu.Lock()
-	kept := len(api.runs)
+	kept := len(api.runs.jobs)
 	api.mu.Unlock()
 	if kept != 0 {
 		t.Fatalf("%d runs registered after fenced submits, want 0", kept)
@@ -133,7 +133,7 @@ func TestFencedDeleteDegrades(t *testing.T) {
 		t.Fatalf("fenced delete = %d, want 200 (degraded, not refused)", resp.StatusCode)
 	}
 	api.mu.Lock()
-	_, still := api.runs[id]
+	_, still := api.runs.jobs[id]
 	api.mu.Unlock()
 	if still {
 		t.Fatal("run still in the catalogue after delete")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/litmus"
@@ -208,48 +207,4 @@ func RunLitmusShard(ctx context.Context, sh LitmusShard) (*Result, error) {
 		res.Samples += out.Trials
 	}
 	return finish(StatusOK, "", outs), nil
-}
-
-// runLitmusLocal executes a campaign's shards in-process with bounded
-// parallelism — the fallback when no dispatcher is configured, with the
-// same containment and ordering semantics as Engine.Run: failures stay
-// in their shard's Result, results come back in shard order, and the
-// first failure in that order is also returned as the campaign error.
-func runLitmusLocal(ctx context.Context, shards []LitmusShard, parallel int, sink Sink) ([]*Result, error) {
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(shards) {
-		parallel = len(shards)
-	}
-	sem := make(chan struct{}, parallel)
-	results := make([]*Result, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh LitmusShard) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if sink != nil {
-				sink.ExperimentStarted(sh.name())
-			}
-			res, err := RunLitmusShard(ctx, sh)
-			if err != nil {
-				res = &Result{Experiment: sh.name(), Status: StatusFailed, Err: err.Error()}
-			}
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		if r.Err != "" {
-			return results, fmt.Errorf("%s: %s", r.Experiment, r.Err)
-		}
-	}
-	return results, nil
 }

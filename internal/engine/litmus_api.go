@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -25,21 +24,11 @@ import (
 // — the batch regenerates from (gen_seed, count, max_threads) and every
 // shard re-executes byte-identically.
 
-// litmusRun is one submitted campaign.
-type litmusRun struct {
-	id       string
-	spec     LitmusSpec
-	shards   []LitmusShard
-	cancel   context.CancelFunc
-	admitted int
-
-	mu        sync.Mutex
-	state     string
-	started   time.Time
-	finished  time.Time
+// litmusJob is the litmus kind's half of a job: one cell per shard.
+type litmusJob struct {
+	spec      LitmusSpec
+	shards    []LitmusShard
 	completed []*Result // shard results, completion order, while running
-	final     []*Result // shard order, once the campaign ends
-	err       string
 }
 
 // LitmusStatus is the snapshot served by GET /api/v1/litmus/{id}.  The
@@ -65,259 +54,58 @@ type LitmusStatus struct {
 	Results   []*Result `json:"results,omitempty"`
 }
 
-// status snapshots the campaign.
-func (r *litmusRun) status(includeResults bool) LitmusStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := LitmusStatus{
-		ID:        r.id,
-		Kind:      "litmus",
-		State:     r.state,
-		Tenant:    r.spec.Tenant,
-		Spec:      r.spec,
-		Total:     len(r.shards),
-		Completed: len(r.completed),
-		Error:     r.err,
-		StartedAt: r.started,
-	}
-	if !r.finished.IsZero() {
-		fin := r.finished
-		st.FinishedAt = &fin
-	}
-	counted := r.completed
-	if r.final != nil {
-		counted = r.final
-	}
-	for _, res := range counted {
-		if res != nil {
-			st.Tests += res.Measurements
-			st.Trials += res.Samples
-		}
-	}
-	end := r.finished
-	if end.IsZero() {
-		end = time.Now()
-	}
-	st.WallMs = end.Sub(r.started).Milliseconds()
-	if includeResults || r.state != StateRunning {
-		if r.final != nil {
-			st.Results = r.final
-		} else {
-			st.Results = append([]*Result{}, r.completed...)
-		}
-	}
-	return st
-}
-
-// litmusSink adapts a litmusRun to the dispatcher's progress Sink.
-type litmusSink litmusRun
-
-func (ls *litmusSink) ExperimentStarted(string) {}
-
-func (ls *litmusSink) ExperimentDone(res *Result) {
-	r := (*litmusRun)(ls)
-	r.mu.Lock()
-	r.completed = append(r.completed, res)
-	r.mu.Unlock()
-}
-
-func (s *Server) handleLitmusSubmit(w http.ResponseWriter, r *http.Request) {
+// parseLitmus is the litmus kind's submission.
+func (s *Server) parseLitmus(r *http.Request) (jobBody, jobHeader, error) {
 	var spec LitmusSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad litmus spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad litmus spec: %v", err)
 	}
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad litmus spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad litmus spec: %v", err)
 	}
 	if spec.Parallel <= 0 {
 		spec.Parallel = s.defaultParallel
 	}
-	tenant, tok := resolveTenant(w, r, spec.Tenant)
-	if !tok {
-		return
+	tenant, err := resolveTenant(r, spec.Tenant)
+	if err != nil {
+		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant
-	shards := spec.shards()
-
-	// Admission control shares the dispatch queue's budget with
-	// experiment runs: a campaign's shards are refused up front rather
-	// than flooding the queue.
-	admitted := 0
-	if s.disp != nil {
-		switch err := s.disp.TryAdmit(tenant, len(shards)); err {
-		case nil:
-			admitted = len(shards)
-		case ErrTenantSaturated:
-			s.writeSaturated(w, "tenant %q queue quota exceeded (%d shards refused)", tenant, len(shards))
-			return
-		default:
-			s.writeSaturated(w, "dispatch queue saturated (%d shards refused)", len(shards))
-			return
-		}
-	}
-
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if spec.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
-		return
-	}
-	if !s.tenantAdmitRunningLocked(tenant) {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		s.met.tenantRejected.Inc(tenant, "tenant_running")
-		s.writeSaturated(w, "tenant %q already has %d runs executing", tenant, s.tenantMaxRunning)
-		return
-	}
-	s.litmusSeq++
-	run := &litmusRun{
-		id:       fmt.Sprintf("litmus-%d", s.litmusSeq),
-		spec:     spec,
-		shards:   shards,
-		cancel:   cancel,
-		admitted: admitted,
-		state:    StateRunning,
-		started:  time.Now(),
-	}
-	s.litmus[run.id] = run
-	s.active.Add(1)
-	s.mu.Unlock()
-	s.met.litmusRuns.Inc("submitted")
-
-	go s.executeLitmus(ctx, cancel, run)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": run.id, "state": StateRunning, "total": len(shards)})
+	b := &litmusJob{spec: spec, shards: spec.shards()}
+	return b, jobHeader{tenant: tenant, total: len(b.shards), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}, nil
 }
 
-// executeLitmus drives a campaign to completion, through the sharded
-// dispatcher when one is configured and in-process otherwise.  Both
-// paths produce byte-identical shard results for the same spec.
-func (s *Server) executeLitmus(ctx context.Context, cancel context.CancelFunc, run *litmusRun) {
-	defer s.active.Done()
-	defer cancel()
-	tenant := run.spec.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
+func (b *litmusJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
+	cells := make([]Cell, len(b.shards))
+	for i, sh := range b.shards {
+		cells[i] = newCell(sh.name(), "", "litmus", sh)
 	}
-	defer s.tenantRunningDone(tenant)
-	var results []*Result
-	var err error
-	if s.disp != nil {
-		results, err = s.disp.RunLitmus(ctx, run.id, tenant, run.shards, run.spec.Parallel, (*litmusSink)(run), run.admitted)
-	} else {
-		results, err = runLitmusLocal(ctx, run.shards, run.spec.Parallel, (*litmusSink)(run))
-	}
-
-	run.mu.Lock()
-	run.final = results
-	run.finished = time.Now()
-	switch {
-	case err == nil:
-		run.state = StateDone
-	case ctx.Err() != nil || anyCanceled(results):
-		run.state = StateCancelled
-		run.err = err.Error()
-	case anyOK(results):
-		run.state = StatePartial
-		run.err = err.Error()
-	default:
-		run.state = StateFailed
-		run.err = err.Error()
-	}
-	state := run.state
-	run.mu.Unlock()
-	s.met.litmusRuns.Inc(state)
+	return j.dispatch(ctx, cells)
 }
 
-func (s *Server) lookupLitmus(r *http.Request) (*litmusRun, string) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.litmus[id], id
+func (b *litmusJob) started(string) *event { return nil }
+
+func (b *litmusJob) done(res *Result) *event {
+	b.completed = append(b.completed, res)
+	return nil
 }
 
-func (s *Server) handleLitmusList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	runs := make([]*litmusRun, 0, len(s.litmus))
-	for _, run := range s.litmus {
-		runs = append(runs, run)
+func (b *litmusJob) status(j *serverJob, v statusView) any {
+	st := LitmusStatus{
+		ID:        j.id,
+		Kind:      "litmus",
+		State:     j.state,
+		Tenant:    b.spec.Tenant,
+		Spec:      b.spec,
+		Total:     len(b.shards),
+		Completed: j.completed,
+		Error:     j.err,
+		StartedAt: j.started,
 	}
-	s.mu.Unlock()
-	out := make([]LitmusStatus, 0, len(runs))
-	for _, run := range runs {
-		out = append(out, run.status(false))
-	}
-	writeJobPage(w, r, out, func(st LitmusStatus) string { return st.ID })
+	st.FinishedAt, st.WallMs = j.timing()
+	st.Results, st.Tests, st.Trials = j.shownResults(b.completed, v)
+	return st
 }
 
-func (s *Server) handleLitmusStatus(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookupLitmus(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown litmus campaign %q", id)
-		return
-	}
-	if r.URL.Query().Get("canonical") != "" {
-		run.mu.Lock()
-		state := run.state
-		results := run.final
-		run.mu.Unlock()
-		if state == StateRunning {
-			writeErr(w, http.StatusConflict, ErrCodeConflict,
-				"litmus campaign %s is still running; canonical JSON exists only for finished campaigns", run.id)
-			return
-		}
-		raw, err := CanonicalRunJSON(results)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", "canonicalise litmus campaign %s: %v", run.id, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.status(r.URL.Query().Get("results") != ""))
-}
-
-// handleLitmusCancel cancels a running campaign; on a finished one it
-// removes it from the catalogue.
-func (s *Server) handleLitmusCancel(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookupLitmus(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown litmus campaign %q", id)
-		return
-	}
-	run.mu.Lock()
-	state := run.state
-	run.mu.Unlock()
-	run.cancel()
-	if state != StateRunning {
-		s.mu.Lock()
-		_, present := s.litmus[id]
-		delete(s.litmus, id)
-		s.mu.Unlock()
-		if present {
-			s.met.litmusSwept.Inc()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": run.id, "state": state, "deleted": true})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": run.id, "state": "cancelling"})
-}
+func (b *litmusJob) canonical(j *serverJob) ([]byte, error) { return CanonicalRunJSON(j.final) }

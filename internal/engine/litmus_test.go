@@ -46,8 +46,8 @@ func waitLitmus(t *testing.T, ts *httptest.Server, id string) client.LitmusStatu
 }
 
 // TestLitmusAPILocal exercises the campaign lifecycle on a server with
-// no dispatcher: submit, wait, status accounting, canonical JSON,
-// per-shard Output shape, and removal.
+// the default local slots: submit, wait, status accounting, canonical
+// JSON, per-shard Output shape, and removal.
 func TestLitmusAPILocal(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cl := testClient(ts)
@@ -123,14 +123,20 @@ func TestLitmusAPILocal(t *testing.T) {
 
 // TestLitmusDispatchIdentity verifies the campaign analogue of the
 // dispatcher invariant: a campaign sharded through the queue and local
-// slots yields canonical JSON byte-identical to the in-process path.
+// slots yields canonical JSON byte-identical to running the spec's
+// shards in order with RunLitmusShard.
 func TestLitmusDispatchIdentity(t *testing.T) {
-	tsLocal, _ := newTestServer(t)
-	subLocal := submitLitmus(t, tsLocal, litmusSpecJSON)
-	if st := waitLitmus(t, tsLocal, subLocal.ID); st.State != client.StateDone {
-		t.Fatalf("local campaign ended %s (err %q)", st.State, st.Error)
+	spec := LitmusSpec{Arch: litmusSpecJSON.Arch, GenSeed: litmusSpecJSON.GenSeed, Count: litmusSpecJSON.Count,
+		Trials: litmusSpecJSON.Trials, Seed: litmusSpecJSON.Seed, ShardSize: litmusSpecJSON.ShardSize}
+	var shards []*Result
+	for _, sh := range spec.withDefaults().shards() {
+		res, err := RunLitmusShard(context.Background(), sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, res)
 	}
-	want, err := testClient(tsLocal).CanonicalLitmus(context.Background(), subLocal.ID)
+	want, err := CanonicalRunJSON(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestLitmusDispatchIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("dispatched campaign diverged from local:\n--- local ---\n%s\n--- dispatched ---\n%s", want, got)
+		t.Errorf("dispatched campaign diverged from RunLitmusShard:\n--- shards ---\n%s\n--- dispatched ---\n%s", want, got)
 	}
 }
 

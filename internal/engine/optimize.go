@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/optimize"
 )
@@ -141,48 +140,4 @@ func decodeCellResult(res *Result, name string) (optimize.CellResult, error) {
 		return cr, fmt.Errorf("optimize: cell %s: output names cell %q", name, cr.Cell)
 	}
 	return cr, nil
-}
-
-// runOptimizeLocal executes one wave of optimizer cells in-process with
-// bounded parallelism — the fallback when no dispatcher is configured,
-// with the same containment and ordering semantics as the other local
-// drivers: failures stay in their cell's Result, results come back in
-// cell order, and the first failure in that order is also returned.
-func runOptimizeLocal(ctx context.Context, cells []optimize.Cell, parallel int, sink Sink) ([]*Result, error) {
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-	sem := make(chan struct{}, parallel)
-	results := make([]*Result, len(cells))
-	var wg sync.WaitGroup
-	for i, cell := range cells {
-		wg.Add(1)
-		go func(i int, cell optimize.Cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if sink != nil {
-				sink.ExperimentStarted(cell.Name())
-			}
-			res, err := RunOptimizeCell(ctx, cell)
-			if err != nil {
-				res = &Result{Experiment: cell.Name(), Status: StatusFailed, Err: err.Error()}
-			}
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-		}(i, cell)
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		if r.Err != "" {
-			return results, fmt.Errorf("%s: %s", r.Experiment, r.Err)
-		}
-	}
-	return results, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/optimize"
@@ -23,34 +22,24 @@ import (
 //	                              the report's canonical JSON
 //	DELETE /api/v1/optimize/{id}  cancel a running job / remove a finished one
 //
-// A job runs in two waves: gate cells (one exhaustive litmus gate per
-// candidate strategy) and then score cells (one measurement per sound
-// survivor plus the sensitivity fits) — both fanned through the
-// dispatcher when one is configured.  Cells are content-addressed, so
-// resubmitting a spec resolves from the result cache; the canonical
-// report is byte-identical wherever the cells executed.
+// A job runs in two waves through the dispatcher: gate cells (one
+// exhaustive litmus gate per candidate strategy) and then score cells
+// (one measurement per sound survivor plus the sensitivity fits).
+// Cells are content-addressed, so resubmitting a spec resolves from the
+// result cache; the canonical report is byte-identical wherever the
+// cells executed.
 
-// optimizeRun is one submitted optimizer job.
-type optimizeRun struct {
-	id         string
+// optimizeJob is the optimize kind's half of a job.
+type optimizeJob struct {
 	spec       OptimizeSpec
 	candidates int
-	cancel     context.CancelFunc
-	admitted   int
-
-	mu       sync.Mutex
-	state    string
-	phase    string // "gate" -> "measure" -> "done"
-	started  time.Time
-	finished time.Time
-	cells    int // cells completed so far (both waves)
-	tried    int // gate cells completed
-	rejected int // candidates the gate proved unsound
-	scored   int // measure cells completed
-	best     string
-	bestGeo  float64
-	report   *optimize.Report
-	err      string
+	phase      string // "gate" -> "measure"; "done" once the job ends
+	tried      int    // gate cells completed
+	rejected   int    // candidates the gate proved unsound
+	scored     int    // measure cells completed
+	best       string
+	bestGeo    float64
+	report     *optimize.Report // set, on success only, as the job ends
 }
 
 // Optimizer job phases reported in OptimizeStatus.Phase.
@@ -89,221 +78,52 @@ type OptimizeStatus struct {
 	Report *optimize.Report `json:"report,omitempty"`
 }
 
-// status snapshots the job.
-func (r *optimizeRun) status() OptimizeStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := OptimizeStatus{
-		ID:              r.id,
-		Kind:            "optimize",
-		State:           r.state,
-		Tenant:          r.spec.Tenant,
-		Phase:           r.phase,
-		Spec:            r.spec,
-		Candidates:      r.candidates,
-		Tried:           r.tried,
-		RejectedUnsound: r.rejected,
-		Scored:          r.scored,
-		Best:            r.best,
-		CellsDone:       r.cells,
-		Error:           r.err,
-		StartedAt:       r.started,
-		Report:          r.report,
-	}
-	end := r.finished
-	if end.IsZero() {
-		end = time.Now()
-	} else {
-		fin := r.finished
-		st.FinishedAt = &fin
-	}
-	st.WallMs = end.Sub(r.started).Milliseconds()
-	return st
-}
-
-// optimizeSink adapts an optimizeRun to the dispatcher's progress Sink:
-// completed cells update the job's phase counters and best-so-far.
-type optimizeSink optimizeRun
-
-func (os *optimizeSink) ExperimentStarted(string) {}
-
-func (os *optimizeSink) ExperimentDone(res *Result) {
-	if res == nil {
-		return
-	}
-	r := (*optimizeRun)(os)
-	var cr optimize.CellResult
-	decoded := res.Status == StatusOK && json.Unmarshal([]byte(res.Output), &cr) == nil
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cells++
-	switch {
-	case strings.HasPrefix(res.Experiment, "gate/"):
-		r.tried++
-		if decoded {
-			sound := len(cr.Gate) > 0
-			for _, g := range cr.Gate {
-				sound = sound && g.Sound
-			}
-			if !sound {
-				r.rejected++
-			}
-		}
-	case strings.HasPrefix(res.Experiment, "measure/"):
-		r.scored++
-		if decoded && cr.Perf != nil && cr.Perf.GeoMean > r.bestGeo {
-			r.bestGeo = cr.Perf.GeoMean
-			r.best = strings.TrimPrefix(res.Experiment, "measure/")
-		}
-	}
-}
-
-func (r *optimizeRun) setPhase(phase string) {
-	r.mu.Lock()
-	r.phase = phase
-	r.mu.Unlock()
-}
-
-func (s *Server) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
+// parseOptimize is the optimize kind's submission.  Admission covers the
+// first wave (one gate cell per candidate); the scoring wave is sized by
+// the gate's verdicts and joins the queue when it exists, like
+// lost-lease requeues.
+func (s *Server) parseOptimize(r *http.Request) (jobBody, jobHeader, error) {
 	var spec OptimizeSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad optimize spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad optimize spec: %v", err)
 	}
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad optimize spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad optimize spec: %v", err)
 	}
 	if spec.Parallel <= 0 {
 		spec.Parallel = s.defaultParallel
 	}
-	tenant, tok := resolveTenant(w, r, spec.Tenant)
-	if !tok {
-		return
+	tenant, err := resolveTenant(r, spec.Tenant)
+	if err != nil {
+		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant
 	gates, err := spec.GateCells()
 	if err != nil { // defensive: validate() already resolved the candidates
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad optimize spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad optimize spec: %v", err)
 	}
-
-	// Admission control covers the first wave (one gate cell per
-	// candidate); the scoring wave is sized by the gate's verdicts and
-	// joins the queue when it exists, like lost-lease requeues.
-	admitted := 0
-	if s.disp != nil {
-		switch err := s.disp.TryAdmit(tenant, len(gates)); err {
-		case nil:
-			admitted = len(gates)
-		case ErrTenantSaturated:
-			s.writeSaturated(w, "tenant %q queue quota exceeded (%d cells refused)", tenant, len(gates))
-			return
-		default:
-			s.writeSaturated(w, "dispatch queue saturated (%d cells refused)", len(gates))
-			return
-		}
-	}
-
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if spec.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
-		return
-	}
-	if !s.tenantAdmitRunningLocked(tenant) {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		s.met.tenantRejected.Inc(tenant, "tenant_running")
-		s.writeSaturated(w, "tenant %q already has %d runs executing", tenant, s.tenantMaxRunning)
-		return
-	}
-	s.optimizeSeq++
-	run := &optimizeRun{
-		id:         fmt.Sprintf("optimize-%d", s.optimizeSeq),
-		spec:       spec,
-		candidates: len(gates),
-		cancel:     cancel,
-		admitted:   admitted,
-		state:      StateRunning,
-		phase:      PhaseGate,
-		started:    time.Now(),
-	}
-	s.optimize[run.id] = run
-	s.active.Add(1)
-	s.mu.Unlock()
-	s.met.optimizeRuns.Inc("submitted")
-
-	go s.executeOptimize(ctx, cancel, run)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": run.id, "state": StateRunning, "total": len(gates)})
+	return &optimizeJob{spec: spec, candidates: len(gates), phase: PhaseGate},
+		jobHeader{tenant: tenant, total: len(gates), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}, nil
 }
 
-// executeOptimize drives a job to completion, through the sharded
-// dispatcher when one is configured and in-process otherwise.  Both
-// paths execute the same cells and assemble byte-identical reports.
-func (s *Server) executeOptimize(ctx context.Context, cancel context.CancelFunc, run *optimizeRun) {
-	defer s.active.Done()
-	defer cancel()
-	tenant := run.spec.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	defer s.tenantRunningDone(tenant)
-
-	rep, err := s.driveOptimize(ctx, run)
-
-	run.mu.Lock()
-	run.report = rep
-	run.finished = time.Now()
-	run.phase = PhaseDone
-	switch {
-	case err == nil:
-		run.state = StateDone
-		run.best = rep.Best
-	case ctx.Err() != nil:
-		run.state = StateCancelled
-		run.err = err.Error()
-	default:
-		run.state = StateFailed
-		run.err = err.Error()
-	}
-	state := run.state
-	run.mu.Unlock()
-	s.met.optimizeRuns.Inc(state)
-}
-
-// driveOptimize runs the two waves and assembles the report.  The first
-// error — a cell that failed, a gate that could not complete its
-// exploration, a baseline rejected as unsound — fails the job.
-func (s *Server) driveOptimize(ctx context.Context, run *optimizeRun) (*optimize.Report, error) {
-	sp := run.spec.Spec // normalised and validated at submission
-	sink := (*optimizeSink)(run)
+// drive runs the two waves and assembles the report.  The first error —
+// a cell that failed, a gate that could not complete its exploration, a
+// baseline rejected as unsound — fails the job; it returns no results,
+// so an optimize job never ends partial.
+func (b *optimizeJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
+	sp := b.spec.Spec // normalised and validated at submission
 	results := map[string]optimize.CellResult{}
-
-	wave := func(cells []optimize.Cell, reserved int) error {
-		var rs []*Result
-		var err error
-		if s.disp != nil {
-			rs, err = s.disp.RunOptimizeCells(ctx, run.id, run.spec.Tenant, cells, run.spec.Parallel, run.spec.NoCache, sink, reserved)
-		} else {
-			rs, err = runOptimizeLocal(ctx, cells, run.spec.Parallel, sink)
+	wave := func(cells []optimize.Cell) error {
+		dcells := make([]Cell, len(cells))
+		for i, c := range cells {
+			key := ""
+			if !b.spec.NoCache {
+				key, _ = OptimizeCellKey(c) // an unkeyable cell just executes
+			}
+			dcells[i] = newCell(c.Name(), key, "optimize", c)
 		}
+		rs, err := j.dispatch(ctx, dcells)
 		for i, res := range rs {
 			cr, derr := decodeCellResult(res, cells[i].Name())
 			if derr != nil {
@@ -321,8 +141,7 @@ func (s *Server) driveOptimize(ctx context.Context, run *optimizeRun) (*optimize
 	if err != nil {
 		return nil, err
 	}
-	run.setPhase(PhaseGate)
-	if err := wave(gates, run.admitted); err != nil {
+	if err := wave(gates); err != nil {
 		return nil, err
 	}
 	sound, err := optimize.SoundNames(sp, results)
@@ -334,97 +153,86 @@ func (s *Server) driveOptimize(ctx context.Context, run *optimizeRun) (*optimize
 		// nothing to rank against.
 		return nil, fmt.Errorf("optimize: baseline strategy %q was rejected by the soundness gate", sp.Baseline)
 	}
-
 	score, err := sp.ScoreCells(sound)
 	if err != nil {
 		return nil, err
 	}
-	run.setPhase(PhaseMeasure)
-	if err := wave(score, 0); err != nil {
+	j.mu.Lock()
+	b.phase = PhaseMeasure
+	j.mu.Unlock()
+	if err := wave(score); err != nil {
 		return nil, err
 	}
-	return optimize.Assemble(sp, results)
+	rep, err := optimize.Assemble(sp, results)
+	j.mu.Lock()
+	b.report = rep
+	j.mu.Unlock()
+	return nil, err
 }
 
-func (s *Server) lookupOptimize(r *http.Request) (*optimizeRun, string) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.optimize[id], id
+func (b *optimizeJob) started(string) *event { return nil }
+
+// done folds a completed cell into the phase counters and best-so-far.
+func (b *optimizeJob) done(res *Result) *event {
+	var cr optimize.CellResult
+	decoded := res.Status == StatusOK && json.Unmarshal([]byte(res.Output), &cr) == nil
+	switch {
+	case strings.HasPrefix(res.Experiment, "gate/"):
+		b.tried++
+		if decoded {
+			sound := len(cr.Gate) > 0
+			for _, g := range cr.Gate {
+				sound = sound && g.Sound
+			}
+			if !sound {
+				b.rejected++
+			}
+		}
+	case strings.HasPrefix(res.Experiment, "measure/"):
+		b.scored++
+		if decoded && cr.Perf != nil && cr.Perf.GeoMean > b.bestGeo {
+			b.bestGeo = cr.Perf.GeoMean
+			b.best = strings.TrimPrefix(res.Experiment, "measure/")
+		}
+	}
+	return nil
 }
 
-func (s *Server) handleOptimizeList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	runs := make([]*optimizeRun, 0, len(s.optimize))
-	for _, run := range s.optimize {
-		runs = append(runs, run)
+// status shows the report, and the winner it names, only once the job
+// has ended; list rows leave the report out to stay small.
+func (b *optimizeJob) status(j *serverJob, v statusView) any {
+	st := OptimizeStatus{
+		ID:              j.id,
+		Kind:            "optimize",
+		State:           j.state,
+		Tenant:          b.spec.Tenant,
+		Phase:           b.phase,
+		Spec:            b.spec,
+		Candidates:      b.candidates,
+		Tried:           b.tried,
+		RejectedUnsound: b.rejected,
+		Scored:          b.scored,
+		Best:            b.best,
+		CellsDone:       j.completed,
+		Error:           j.err,
+		StartedAt:       j.started,
 	}
-	s.mu.Unlock()
-	out := make([]OptimizeStatus, 0, len(runs))
-	for _, run := range runs {
-		st := run.status()
-		st.Report = nil // list rows stay small; fetch the job for the report
-		out = append(out, st)
+	st.FinishedAt, st.WallMs = j.timing()
+	if j.state != StateRunning {
+		st.Phase = PhaseDone
+		if b.report != nil {
+			st.Best = b.report.Best
+		}
+		if v != viewRow {
+			st.Report = b.report
+		}
 	}
-	writeJobPage(w, r, out, func(st OptimizeStatus) string { return st.ID })
+	return st
 }
 
-func (s *Server) handleOptimizeStatus(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookupOptimize(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown optimize job %q", id)
-		return
+func (b *optimizeJob) canonical(*serverJob) ([]byte, error) {
+	if b.report == nil {
+		return nil, nil
 	}
-	if r.URL.Query().Get("canonical") != "" {
-		run.mu.Lock()
-		state := run.state
-		rep := run.report
-		run.mu.Unlock()
-		if state == StateRunning {
-			writeErr(w, http.StatusConflict, ErrCodeConflict,
-				"optimize job %s is still running; canonical JSON exists only for finished jobs", run.id)
-			return
-		}
-		if rep == nil {
-			writeErr(w, http.StatusConflict, ErrCodeConflict,
-				"optimize job %s finished %s without a report", run.id, state)
-			return
-		}
-		raw, err := rep.CanonicalJSON()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", "canonicalise optimize job %s: %v", run.id, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.status())
-}
-
-// handleOptimizeCancel cancels a running job; on a finished one it
-// removes it from the catalogue.
-func (s *Server) handleOptimizeCancel(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookupOptimize(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown optimize job %q", id)
-		return
-	}
-	run.mu.Lock()
-	state := run.state
-	run.mu.Unlock()
-	run.cancel()
-	if state != StateRunning {
-		s.mu.Lock()
-		_, present := s.optimize[id]
-		delete(s.optimize, id)
-		s.mu.Unlock()
-		if present {
-			s.met.optimizeSwept.Inc()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": run.id, "state": state, "deleted": true})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": run.id, "state": "cancelling"})
+	return b.report.CanonicalJSON()
 }

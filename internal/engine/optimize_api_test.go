@@ -60,8 +60,8 @@ func waitOptimize(t *testing.T, ts *httptest.Server, id string) client.OptimizeS
 }
 
 // TestOptimizeAPILocal exercises the optimizer job lifecycle on a
-// server with no dispatcher: submit, wait, status accounting, the
-// canonical report, listing and removal.
+// server with the default local slots: submit, wait, status accounting,
+// the canonical report, listing and removal.
 func TestOptimizeAPILocal(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cl := testClient(ts)
@@ -140,20 +140,20 @@ func TestOptimizeAPILocal(t *testing.T) {
 }
 
 // TestOptimizeDispatchIdentity verifies the dispatcher invariant for
-// the optimizer family: a job fanned through the queue and local slots
-// assembles a canonical report byte-identical to the in-process path.
+// the optimizer family under a serial schedule: both waves fanned
+// through the queue onto a single local slot assemble a canonical
+// report byte-identical to a direct optimize.Run.
 func TestOptimizeDispatchIdentity(t *testing.T) {
-	tsLocal, _ := newTestServer(t)
-	subLocal := submitOptimize(t, tsLocal, optSpecJSON)
-	if st := waitOptimize(t, tsLocal, subLocal.ID); st.State != client.StateDone {
-		t.Fatalf("local job ended %s (err %q)", st.State, st.Error)
+	rep, err := optimize.Run(optSpecPure)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := testClient(tsLocal).CanonicalOptimize(context.Background(), subLocal.ID)
+	want, err := rep.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tsDisp, _ := newDispatchServer(t, DispatchOptions{})
+	tsDisp, _ := newDispatchServer(t, DispatchOptions{LocalSlots: 1})
 	subDisp := submitOptimize(t, tsDisp, optSpecJSON)
 	if st := waitOptimize(t, tsDisp, subDisp.ID); st.State != client.StateDone {
 		t.Fatalf("dispatched job ended %s (err %q)", st.State, st.Error)
@@ -163,7 +163,7 @@ func TestOptimizeDispatchIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("dispatched job diverged from local:\n--- local ---\n%s\n--- dispatched ---\n%s", want, got)
+		t.Errorf("dispatched job diverged from optimize.Run:\n--- direct ---\n%s\n--- dispatched ---\n%s", want, got)
 	}
 }
 

@@ -115,22 +115,11 @@ type RunOptions struct {
 	// returned in request order and each experiment's output is
 	// buffered separately, so the bytes are identical for any value.
 	Parallel int
-	// Completed carries checkpointed results from a previous attempt of
-	// the same run (keyed by experiment name).  Experiments found here
-	// are restored verbatim — no execution, no Sink callbacks — which,
-	// combined with positional seed derivation, makes a resumed run's
-	// canonical JSON byte-identical to an uninterrupted one.
-	Completed map[string]*Result
 	// Adaptive, when non-nil, replaces the fixed sample count with the
 	// sequential stopping rule (see stats.StopRule): each measurement
 	// draws samples until its CI is tight enough.  Participates in the
 	// result-cache content hash.
 	Adaptive *stats.StopRule
-	// NoCache bypasses the dispatcher's result cache for this run: jobs
-	// always execute, and their results are not committed.  (The direct
-	// Engine.Run path never consults the cache; this matters only for
-	// dispatched runs.)
-	NoCache bool
 }
 
 // AdaptiveSpec is the wire form of stats.StopRule used by the v1 API and
@@ -150,18 +139,6 @@ func (a *AdaptiveSpec) Rule() *stats.StopRule {
 		RelPrecision: a.RelPrecision,
 		MinSamples:   a.MinSamples,
 		MaxSamples:   a.MaxSamples,
-	}
-}
-
-// SpecFromRule converts a stats rule to its wire form (nil-safe).
-func SpecFromRule(r *stats.StopRule) *AdaptiveSpec {
-	if r == nil {
-		return nil
-	}
-	return &AdaptiveSpec{
-		RelPrecision: r.RelPrecision,
-		MinSamples:   r.MinSamples,
-		MaxSamples:   r.MaxSamples,
 	}
 }
 
@@ -205,12 +182,6 @@ func (e *Engine) Run(ctx context.Context, names []string, o RunOptions, sink Sin
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, ex := range exps {
-		if prev, ok := o.Completed[ex.Name]; ok && prev != nil {
-			// Restored from a checkpoint: no execution, no sink events
-			// (the caller already accounted for it when it first ran).
-			results[i] = prev
-			continue
-		}
 		wg.Add(1)
 		go func(i int, ex experiments.Experiment) {
 			defer wg.Done()

@@ -52,31 +52,29 @@ var routeTable = []apiRoute{
 			return func(w http.ResponseWriter, r *http.Request) { s.handleExperiments(w, r, false) }
 		}},
 	{Method: "POST", Path: "/api/v1/runs", Desc: "submit an experiment run (RunSpec); 429 + Retry-After under saturation",
-		handler: func(s *Server) http.HandlerFunc { return s.handleSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.submitJob(s.runs) }},
 	{Method: "GET", Path: "/api/v1/runs", Desc: "run statuses (?limit=&after=)",
-		handler: func(s *Server) http.HandlerFunc {
-			return func(w http.ResponseWriter, r *http.Request) { s.handleList(w, r, false) }
-		}},
+		handler: func(s *Server) http.HandlerFunc { return s.listJobs(s.runs, false) }},
 	{Method: "GET", Path: "/api/v1/runs/{id}", Desc: "run status; ?results=1 partial results, ?stream=1 NDJSON progress, ?canonical=1 canonical result JSON",
-		handler: func(s *Server) http.HandlerFunc { return s.handleStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.jobStatus(s.runs) }},
 	{Method: "DELETE", Path: "/api/v1/runs/{id}", Desc: "cancel a running run / remove a finished one",
-		handler: func(s *Server) http.HandlerFunc { return s.handleCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.cancelJob(s.runs) }},
 	{Method: "POST", Path: "/api/v1/litmus", Desc: "submit a generated litmus campaign (LitmusSpec)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.submitJob(s.litmus) }},
 	{Method: "GET", Path: "/api/v1/litmus", Desc: "litmus campaign statuses (?limit=&after=)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusList }},
+		handler: func(s *Server) http.HandlerFunc { return s.listJobs(s.litmus, false) }},
 	{Method: "GET", Path: "/api/v1/litmus/{id}", Desc: "campaign status; ?results=1 partial results, ?canonical=1 canonical shard-result JSON",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.jobStatus(s.litmus) }},
 	{Method: "DELETE", Path: "/api/v1/litmus/{id}", Desc: "cancel a running campaign / remove a finished one",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.cancelJob(s.litmus) }},
 	{Method: "POST", Path: "/api/v1/optimize", Desc: "submit a fence-strategy optimizer job (OptimizeSpec)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.submitJob(s.optimize) }},
 	{Method: "GET", Path: "/api/v1/optimize", Desc: "optimizer job statuses (?limit=&after=)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeList }},
+		handler: func(s *Server) http.HandlerFunc { return s.listJobs(s.optimize, false) }},
 	{Method: "GET", Path: "/api/v1/optimize/{id}", Desc: "optimizer job status; ?canonical=1 serves the canonical report JSON",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.jobStatus(s.optimize) }},
 	{Method: "DELETE", Path: "/api/v1/optimize/{id}", Desc: "cancel a running optimizer job / remove a finished one",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.cancelJob(s.optimize) }},
 	{Method: "POST", Path: "/api/v1/leases", Desc: "worker lease: grab a batch of jobs (sharded backend)",
 		handler: func(s *Server) http.HandlerFunc { return s.handleLease }},
 	{Method: "POST", Path: "/api/v1/leases/{id}/heartbeat", Desc: "renew a worker lease",
@@ -93,18 +91,16 @@ var routeTable = []apiRoute{
 		}},
 	{Method: "POST", Path: "/runs", Desc: "legacy run submission",
 		Legacy: true, Successor: "/api/v1/runs",
-		handler: func(s *Server) http.HandlerFunc { return s.handleSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.submitJob(s.runs) }},
 	{Method: "GET", Path: "/runs", Desc: "legacy run statuses (bare array)",
 		Legacy: true, Successor: "/api/v1/runs",
-		handler: func(s *Server) http.HandlerFunc {
-			return func(w http.ResponseWriter, r *http.Request) { s.handleList(w, r, true) }
-		}},
+		handler: func(s *Server) http.HandlerFunc { return s.listJobs(s.runs, true) }},
 	{Method: "GET", Path: "/runs/{id}", Desc: "legacy run status",
 		Legacy: true, Successor: "/api/v1/runs/{id}",
-		handler: func(s *Server) http.HandlerFunc { return s.handleStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.jobStatus(s.runs) }},
 	{Method: "DELETE", Path: "/runs/{id}", Desc: "legacy run cancel/remove",
 		Legacy: true, Successor: "/api/v1/runs/{id}",
-		handler: func(s *Server) http.HandlerFunc { return s.handleCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.cancelJob(s.runs) }},
 }
 
 // deprecated wraps a legacy shim with the deprecation headers (RFC

@@ -2,11 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/resultcache"
 )
 
 // TestV1ErrorEnvelopeAudit sweeps the failure surface of the v1 API:
@@ -167,5 +172,53 @@ func TestAPIDocInSync(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("docs/api-v1.json is stale: regenerate with `go run ./cmd/wmmd -print-api-doc > docs/api-v1.json`")
+	}
+}
+
+// TestMetricsDocInSync fails when a metric family that a wmmd-equivalent
+// stack (engine, server, dispatcher, result cache) registers is missing
+// from docs/OBSERVABILITY.md.  The doc may name sibling families with a
+// brace list, as in wmm_engine_calibration_cache_{hits,misses}_total.
+func TestMetricsDocInSync(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatalf("reading the metrics doc: %v", err)
+	}
+	doc := string(raw)
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`wmm_[a-z0-9_]+`).FindAllString(doc, -1) {
+		documented[name] = true
+	}
+	for _, tok := range regexp.MustCompile(`wmm_[a-z0-9_]*\{[a-z0-9_,]+\}[a-z0-9_]+`).FindAllString(doc, -1) {
+		open, end := strings.IndexByte(tok, '{'), strings.IndexByte(tok, '}')
+		for _, alt := range strings.Split(tok[open+1:end], ",") {
+			documented[tok[:open]+alt+tok[end+1:]] = true
+		}
+	}
+
+	reg := metrics.NewRegistry()
+	eng := New(Options{Workers: 1, Registry: reg})
+	defer eng.Close()
+	api := NewServer(eng, ServerOptions{Dispatch: &DispatchOptions{
+		Cache: resultcache.New(resultcache.Options{Registry: reg}),
+	}})
+	defer api.Shutdown(context.Background())
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		families++
+		if !documented[f[2]] {
+			t.Errorf("metric family %s is registered but missing from docs/OBSERVABILITY.md", f[2])
+		}
+	}
+	if families == 0 {
+		t.Fatal("the stack registered no metric families")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/optimize"
 	"repro/internal/runstore"
 )
 
@@ -99,37 +97,6 @@ type event struct {
 	Total      int    `json:"total,omitempty"`
 }
 
-// serverRun is one submitted job.
-type serverRun struct {
-	id     string
-	srv    *Server
-	spec   RunSpec
-	total  int
-	cancel context.CancelFunc
-	// restored carries checkpointed results a resumed run must not
-	// re-execute (set once before execute starts, read-only after).
-	restored map[string]*Result
-	// admitted is the dispatch-queue reservation handleSubmit took for
-	// this run (0 for resumed runs, which bypass admission control).
-	admitted int
-
-	mu       sync.Mutex
-	state    string
-	started  time.Time
-	finished time.Time
-	running  map[string]bool
-	results  []*Result // completed experiments, in completion order
-	final    []*Result // full ordered set, once the run ends
-	err      string
-	subs     []chan event
-	resumed  bool
-	// userCancelled distinguishes an explicit DELETE from a
-	// shutdown-triggered cancellation: the former is a terminal outcome
-	// recorded in the store, the latter leaves the run interrupted so a
-	// restart resumes it.
-	userCancelled bool
-}
-
 // serverMetrics are the HTTP layer's instruments.
 type serverMetrics struct {
 	requests   *metrics.Counter   // method, path, code
@@ -152,7 +119,7 @@ type serverMetrics struct {
 	optimizeSwept *metrics.Counter // optimizer jobs removed by GC or DELETE
 	cacheSwept    *metrics.Counter // persisted cache entries removed by retention
 
-	tenantRuns     *metrics.Gauge   // runs + campaigns executing, by tenant
+	tenantRuns     *metrics.Gauge   // jobs of every kind executing, by tenant
 	tenantRejected *metrics.Counter // refused submissions, by tenant and reason
 }
 
@@ -178,7 +145,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		optimizeSwept: r.Counter("wmm_optimize_runs_swept_total", "Finished optimizer jobs removed by the retention sweep or DELETE."),
 		cacheSwept:    r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
 
-		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Runs and litmus campaigns currently executing, by tenant.", "tenant"),
+		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
 		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by admission control, by tenant and reason.", "tenant", "reason"),
 	}
 }
@@ -203,23 +170,24 @@ type ServerOptions struct {
 	// behaviour.  Any runstore backend works (JSONL or segment); take
 	// care to leave this nil rather than storing a typed-nil pointer.
 	Store runstore.Storage
-	// Dispatch, when non-nil, enables the sharded execution backend:
-	// runs are decomposed into experiment jobs on a shared queue served
-	// by local executor slots and by remote wmmworker processes leasing
+	// Dispatch configures the sharded execution backend every job runs
+	// on: a job's cells (a run's experiments, a campaign's shards, an
+	// optimizer job's gate and score cells) join a shared queue served by
+	// local executor slots and by remote wmmworker processes leasing
 	// batches through POST /api/v1/leases.  Admission control refuses
 	// submissions that would overflow the queue with 429 + Retry-After.
-	// A nil Dispatch keeps the in-process Engine.Run path.  Set
-	// Dispatch.Cache to enable content-addressed result reuse.
+	// Nil means the default DispatchOptions.  Set Dispatch.Cache to
+	// enable content-addressed result reuse.
 	Dispatch *DispatchOptions
 	// CacheRetain bounds how long persisted result-cache entries (the
 	// Store's cache/ directory) survive; the retention sweep removes
 	// older ones.  0 keeps them forever.
 	CacheRetain time.Duration
-	// TenantMaxRunning bounds how many runs and litmus campaigns one
-	// tenant may have executing at once; submissions beyond it are
-	// refused with 429 + Retry-After.  0 = unbounded.  Resumed runs
-	// bypass the quota — losing checkpointed work is worse than a brief
-	// overshoot.
+	// TenantMaxRunning bounds how many jobs — runs, litmus campaigns and
+	// optimizer jobs together — one tenant may have executing at once;
+	// submissions beyond it are refused with 429 + Retry-After.
+	// 0 = unbounded.  Resumed runs bypass the quota — losing checkpointed
+	// work is worse than a brief overshoot.
 	TenantMaxRunning int
 	// OnFenced is called (once) when a store mutation is refused by the
 	// lease fencing token (runstore.ErrFenced): another process holds a
@@ -253,17 +221,14 @@ type Server struct {
 	disableLegacy    bool
 	legacyWarn       sync.Once // one migration warning per process
 
+	// The three job kinds; each holds its own catalogue under mu.
+	runs, litmus, optimize *jobKind
+
 	mu            sync.Mutex
-	runs          map[string]*serverRun
-	seq           int
-	litmus        map[string]*litmusRun
-	litmusSeq     int
-	optimize      map[string]*optimizeRun
-	optimizeSeq   int
-	tenantRunning map[string]int // executing runs + campaigns, by tenant
+	tenantRunning map[string]int // executing jobs of every kind, by tenant
 	closed        bool
 
-	active   sync.WaitGroup // one per executing run
+	active   sync.WaitGroup // one per executing job
 	stopOnce sync.Once
 	stop     chan struct{} // closes to end the retention sweeper
 }
@@ -283,31 +248,40 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 		tenantMaxRunning: o.TenantMaxRunning,
 		onFenced:         o.OnFenced,
 		disableLegacy:    o.DisableLegacy,
-		runs:             map[string]*serverRun{},
-		litmus:           map[string]*litmusRun{},
-		optimize:         map[string]*optimizeRun{},
 		tenantRunning:    map[string]int{},
 		stop:             make(chan struct{}),
 	}
+	s.runs = &jobKind{name: "run", noun: "run", unit: "jobs", parse: s.parseRun, durable: true, streams: true,
+		ended: s.met.runs, swept: s.met.runsSwept, active: s.met.runsActive, kept: s.met.runsKept, jobs: map[string]*serverJob{}}
+	s.litmus = &jobKind{name: "litmus", noun: "litmus campaign", unit: "shards", parse: s.parseLitmus,
+		ended: s.met.litmusRuns, swept: s.met.litmusSwept, jobs: map[string]*serverJob{}}
+	s.optimize = &jobKind{name: "optimize", noun: "optimize job", unit: "cells", parse: s.parseOptimize,
+		ended: s.met.optimizeRuns, swept: s.met.optimizeSwept, jobs: map[string]*serverJob{}}
 	if s.store != nil {
 		// Continue the run-N sequence past anything already on disk so
 		// a restarted server never reuses an ID.
-		s.seq = s.store.MaxSeq()
+		s.runs.seq = s.store.MaxSeq()
 	}
+	var dopt DispatchOptions
 	if o.Dispatch != nil {
-		dopt := *o.Dispatch
-		if dopt.OnAssign == nil {
-			dopt.OnAssign = func(runID, experiment, worker string) {
-				s.met.assignments.Inc()
-				if s.store != nil {
-					if err := s.store.Assign(runID, experiment, worker); err != nil {
-						s.storeFailed("assign", err)
-					}
+		dopt = *o.Dispatch
+	}
+	if dopt.OnAssign == nil {
+		dopt.OnAssign = func(runID, experiment, worker string) {
+			s.met.assignments.Inc()
+			// Only persisted jobs get assignment records: the store keeps
+			// them with the job's other records and drops them with it.
+			s.mu.Lock()
+			j := s.runs.jobs[runID]
+			s.mu.Unlock()
+			if j != nil && j.durable {
+				if err := s.store.Assign(runID, experiment, worker); err != nil {
+					s.storeFailed("assign", err)
 				}
 			}
 		}
-		s.disp = NewDispatcher(eng, dopt, o.Parallel)
 	}
+	s.disp = NewDispatcher(eng, dopt, o.Parallel)
 	if o.Retain > 0 || (o.CacheRetain > 0 && o.Store != nil) {
 		every := o.SweepEvery
 		if every <= 0 {
@@ -326,6 +300,8 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 	}
 	return s
 }
+
+func (s *Server) kinds() []*jobKind { return []*jobKind{s.runs, s.litmus, s.optimize} }
 
 // storeFailed accounts a failed store mutation.  When the failure is
 // the fencing token refusing a deposed coordinator's write, it is
@@ -394,44 +370,36 @@ func (s *Server) Restore() (resumed, restored int, err error) {
 			inOrder = append(inOrder, &res)
 		}
 
+		tenant := spec.Tenant
+		if tenant == "" {
+			tenant = DefaultTenant
+		}
+		body := &runJob{spec: spec, running: map[string]bool{}}
+		h := jobHeader{tenant: tenant, total: len(order), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}
+
 		if rec.EndState != "" {
 			// Finished: replay into the catalogue, read-only.
-			run := &serverRun{
-				id:       rec.ID,
-				srv:      s,
-				spec:     spec,
-				total:    len(order),
-				cancel:   func() {},
-				state:    rec.EndState,
-				started:  rec.Started,
-				finished: rec.Finished,
-				running:  map[string]bool{},
-				err:      rec.EndError,
-				results:  inOrder,
+			j, _ := s.newJob(s.runs, body, h, rec.Started)
+			j.cancel() // nothing will run
+			j.id, j.state, j.err, j.finished = rec.ID, rec.EndState, rec.EndError, rec.Finished
+			if j.finished.IsZero() {
+				j.finished = j.started
 			}
-			if run.finished.IsZero() {
-				run.finished = run.started
-			}
+			body.results, j.completed = inOrder, len(inOrder)
 			// With the complete set on disk, final carries the results in
 			// request order, exactly as the live run returned them.
-			if len(byName) == len(order) {
-				final := make([]*Result, len(order))
-				complete := true
-				for i, name := range order {
-					if final[i] = byName[name]; final[i] == nil {
-						complete = false
-						break
-					}
-				}
-				if complete {
-					run.final = final
+			final := make([]*Result, len(order))
+			for i, name := range order {
+				if final[i] = byName[name]; final[i] == nil {
+					final = nil
+					break
 				}
 			}
+			j.final = final
 			s.mu.Lock()
-			if _, ok := s.runs[rec.ID]; !ok {
-				s.runs[rec.ID] = run
+			if s.runs.jobs[rec.ID] == nil {
+				s.addLocked(j)
 				restored++
-				s.met.runsKept.Set(float64(len(s.runs)))
 				s.mu.Unlock()
 				s.met.runsRestored.Inc()
 			} else {
@@ -442,58 +410,35 @@ func (s *Server) Restore() (resumed, restored int, err error) {
 
 		// Interrupted: resume.  Only StatusOK checkpoints are reused;
 		// failed/cancelled/incomplete experiments get a fresh attempt.
-		completed := make(map[string]*Result, len(byName))
-		var kept []*Result
+		// The deadline restarts from now: the original budget cannot be
+		// reconstructed across a crash, and a fresh one errs on the side
+		// of letting the run finish.
+		body.restored = make(map[string]*Result, len(byName))
 		for _, res := range inOrder {
 			if res.Status == StatusOK {
-				completed[res.Experiment] = res
-				kept = append(kept, res)
+				body.restored[res.Experiment] = res
+				body.results = append(body.results, res)
 			}
 		}
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if spec.TimeoutMs > 0 {
-			// The deadline restarts from now: the original budget cannot
-			// be reconstructed across a crash, and a fresh one errs on
-			// the side of letting the run finish.
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-		} else {
-			ctx, cancel = context.WithCancel(ctx)
-		}
-		run := &serverRun{
-			id:       rec.ID,
-			srv:      s,
-			spec:     spec,
-			total:    len(order),
-			cancel:   cancel,
-			restored: completed,
-			state:    StateRunning,
-			started:  rec.Started,
-			running:  map[string]bool{},
-			results:  kept,
-			resumed:  true,
-		}
+		body.resumed = true
+		j, ctx := s.newJob(s.runs, body, h, rec.Started)
+		j.id, j.completed = rec.ID, len(body.results)
 		s.mu.Lock()
-		if _, ok := s.runs[rec.ID]; ok || s.closed {
+		if s.runs.jobs[rec.ID] != nil || s.closed {
 			s.mu.Unlock()
-			cancel()
+			j.cancel()
 			continue
 		}
-		s.runs[rec.ID] = run
+		s.addLocked(j)
 		s.active.Add(1)
 		// Resumed runs bypass the running quota: abandoning checkpointed
 		// work is worse than a brief overshoot after failover.
-		tenant := spec.Tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
 		s.tenantRunningAddLocked(tenant, 1)
-		s.met.runsKept.Set(float64(len(s.runs)))
 		s.mu.Unlock()
-		s.met.runsActive.Add(1)
+		s.runs.setActive(1)
 		s.met.runsResumed.Inc()
 		resumed++
-		go s.execute(ctx, cancel, run)
+		go s.execute(ctx, j)
 	}
 	return resumed, restored, nil
 }
@@ -512,70 +457,26 @@ func (s *Server) sweep(every time.Duration) {
 	}
 }
 
-// gc removes finished runs and litmus campaigns whose retention has
-// lapsed (and persisted cache entries past their own retention),
-// returning how many runs were removed.
+// gc removes finished jobs of every kind whose retention has lapsed
+// (and persisted cache entries past their own retention), returning how
+// many jobs were removed.
 func (s *Server) gc(now time.Time) int {
-	var victims []string
+	var victims []*serverJob
 	if s.retain > 0 {
 		cutoff := now.Add(-s.retain)
 		s.mu.Lock()
-		for id, run := range s.runs {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
-			if expired {
-				victims = append(victims, id)
-			}
-		}
-		for _, id := range victims {
-			delete(s.runs, id)
-		}
-		// Litmus campaigns age out under the same retention; being
-		// in-memory only, no store cleanup is involved — but the sweep is
-		// counted so a leak here is observable (the pre-fix behaviour
-		// removed them silently or not at all).
-		litmusSwept := 0
-		for id, run := range s.litmus {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
-			if expired {
-				delete(s.litmus, id)
-				litmusSwept++
-			}
-		}
-		// Optimizer jobs are in-memory only too, and age out identically.
-		optimizeSwept := 0
-		for id, run := range s.optimize {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
-			if expired {
-				delete(s.optimize, id)
-				optimizeSwept++
-			}
-		}
-		s.met.runsKept.Set(float64(len(s.runs)))
-		s.mu.Unlock()
-		if len(victims) > 0 {
-			s.met.runsSwept.Add(float64(len(victims)))
-		}
-		if litmusSwept > 0 {
-			s.met.litmusSwept.Add(float64(litmusSwept))
-		}
-		if optimizeSwept > 0 {
-			s.met.optimizeSwept.Add(float64(optimizeSwept))
-		}
-		// Expired runs leave the store too, or they would resurrect at the
-		// next restart.
-		if s.store != nil {
-			for _, id := range victims {
-				if err := s.store.Delete(id); err != nil {
-					s.storeFailed("delete", err)
+		for _, k := range s.kinds() {
+			for _, j := range k.jobs {
+				j.mu.Lock()
+				expired := j.state != StateRunning && j.finished.Before(cutoff)
+				j.mu.Unlock()
+				if expired {
+					victims = append(victims, j)
 				}
 			}
 		}
+		s.mu.Unlock()
+		s.remove(victims...)
 	}
 	// Persisted cache entries age out under their own (typically longer)
 	// retention: reuse is most valuable across restarts, but the cache/
@@ -588,43 +489,33 @@ func (s *Server) gc(now time.Time) int {
 	return len(victims)
 }
 
-// Shutdown stops accepting new runs, cancels every in-flight run, and
+// Shutdown stops accepting new jobs, cancels every in-flight job, and
 // waits (bounded by ctx) for their executor goroutines to finish.  After
-// it returns nil, no run is mid-Measure, so Engine.Close is safe.
+// it returns nil, no job is mid-Measure, so Engine.Close is safe.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	runs := make([]*serverRun, 0, len(s.runs))
-	for _, run := range s.runs {
-		runs = append(runs, run)
-	}
-	campaigns := make([]*litmusRun, 0, len(s.litmus))
-	for _, run := range s.litmus {
-		campaigns = append(campaigns, run)
-	}
-	optimizes := make([]*optimizeRun, 0, len(s.optimize))
-	for _, run := range s.optimize {
-		optimizes = append(optimizes, run)
+	var jobs []*serverJob
+	for _, k := range s.kinds() {
+		for _, j := range k.jobs {
+			jobs = append(jobs, j)
+		}
 	}
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
-	for _, run := range runs {
-		run.cancel()
+	for _, j := range jobs {
+		j.cancel()
 	}
-	for _, run := range campaigns {
-		run.cancel()
-	}
-	for _, run := range optimizes {
-		run.cancel()
-	}
-	if s.disp != nil {
-		// The run cancellations above resolve every outstanding job, so
-		// the executor slots and reaper can stop.
-		s.disp.Close()
-	}
+	// The cancellations above resolve every outstanding cell, so the
+	// executor slots and reaper can stop.  A job's executor returns as
+	// soon as its cells are resolved, but a local slot may still be
+	// inside a cancelled cell's Measure: wait for the slots too, or
+	// closing the engine next could race a sample send.
+	s.disp.Close()
 	done := make(chan struct{})
 	go func() {
 		s.active.Wait()
+		s.disp.slots.Wait()
 		close(done)
 	}()
 	select {
@@ -758,7 +649,7 @@ const (
 	ErrCodeNotFound        = "not_found"        // unknown run id
 	ErrCodeConflict        = "conflict"         // state precludes the request (e.g. canonical of a running run)
 	ErrCodeSaturated       = "saturated"        // admission control refused the run (429 + Retry-After)
-	ErrCodeUnavailable     = "unavailable"      // shutting down, or dispatch disabled
+	ErrCodeUnavailable     = "unavailable"      // shutting down, or the run store is fenced
 	ErrCodeLeaseGone       = "lease_gone"       // lease expired or unknown; batch already re-queued
 
 	ErrCodeMethodNotAllowed = "method_not_allowed" // route exists, verb does not (405 + Allow)
@@ -834,39 +725,6 @@ type page[T any] struct {
 	NextAfter string `json:"next_after,omitempty"`
 }
 
-// writeJobPage serves one page of a job listing — the shared shape of
-// every v1 job resource (runs, litmus, optimize): items sorted in
-// submission order by ID, cursor-paginated with ?limit=&after= and
-// wrapped in the {"items", "next_after"} envelope.  A malformed query
-// has its error envelope written here.
-func writeJobPage[T any](w http.ResponseWriter, r *http.Request, items []T, id func(T) string) {
-	sort.Slice(items, func(i, j int) bool { return runIDLess(id(items[i]), id(items[j])) })
-	limit, after, ok := pageParams(w, r)
-	if !ok {
-		return
-	}
-	start := 0
-	if after != "" {
-		for i := range items {
-			if !runIDLess(after, id(items[i])) {
-				start = i + 1
-			}
-		}
-	}
-	pg := page[T]{Items: []T{}}
-	end := start + limit
-	if end > len(items) {
-		end = len(items)
-	}
-	if start < len(items) {
-		pg.Items = items[start:end]
-	}
-	if end < len(items) {
-		pg.NextAfter = id(items[end-1])
-	}
-	writeJSON(w, http.StatusOK, pg)
-}
-
 // ExperimentInfo is one catalogue entry served by GET /api/v1/experiments.
 type ExperimentInfo struct {
 	Name  string `json:"name"`
@@ -916,32 +774,27 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request, legac
 const TenantHeader = "X-WMM-Tenant"
 
 // resolveTenant picks the effective tenant for a submission: header,
-// then spec field, then DefaultTenant.  ok=false means the name was
-// invalid and the error envelope has been written.
-func resolveTenant(w http.ResponseWriter, r *http.Request, specTenant string) (string, bool) {
+// then spec field, then DefaultTenant.  A malformed name is an error.
+func resolveTenant(r *http.Request, specTenant string) (string, error) {
 	tenant := r.Header.Get(TenantHeader)
 	if tenant == "" {
 		tenant = specTenant
 	}
 	if tenant == "" {
-		return DefaultTenant, true
+		return DefaultTenant, nil
 	}
 	if len(tenant) > 64 {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument,
-			"tenant name longer than 64 characters")
-		return "", false
+		return "", errors.New("tenant name longer than 64 characters")
 	}
 	for _, c := range tenant {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '.', c == '_', c == '-':
 		default:
-			writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument,
-				"tenant name %q: only [A-Za-z0-9._-] allowed", tenant)
-			return "", false
+			return "", fmt.Errorf("tenant name %q: only [A-Za-z0-9._-] allowed", tenant)
 		}
 	}
-	return tenant, true
+	return tenant, nil
 }
 
 // tenantAdmitRunning enforces the per-tenant running-run quota and, when
@@ -974,38 +827,43 @@ func (s *Server) tenantRunningDone(tenant string) {
 // writeSaturated is the shared 429 envelope for queue and quota
 // refusals: Retry-After plus the standard error body.
 func (s *Server) writeSaturated(w http.ResponseWriter, format string, args ...any) {
-	retry := 1
-	if s.disp != nil {
-		if r := int(s.disp.RetryAfter().Seconds()); r > retry {
-			retry = r
-		}
-	}
+	retry := max(1, int(s.disp.RetryAfter().Seconds()))
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	args = append(args, retry)
 	writeErr(w, http.StatusTooManyRequests, ErrCodeSaturated, format+"; retry after %ds", args...)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// runJob is the run kind's half of a job: a sweep of experiments, one
+// cell each, checkpointed to the run store as they finish and resumable
+// from those checkpoints after a restart.
+type runJob struct {
+	spec RunSpec
+	// restored carries checkpointed results a resumed run must not
+	// re-execute (set once before the run starts, read-only after).
+	restored map[string]*Result
+	resumed  bool
+	running  map[string]bool
+	results  []*Result // completed experiments, in completion order
+}
+
+// parseRun is the run kind's submission: a RunSpec, validated and
+// normalised (?nocache=1, the default parallelism, the effective tenant).
+func (s *Server) parseRun(r *http.Request) (jobBody, jobHeader, error) {
 	var spec RunSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad run spec: %v", err)
-		return
+		return nil, jobHeader{}, fmt.Errorf("bad run spec: %v", err)
 	}
 	if spec.Samples < 0 || spec.Seed < 0 || spec.Parallel < 0 || spec.TimeoutMs < 0 {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument,
-			"bad run spec: samples, seed, parallel and timeout_ms must be >= 0")
-		return
+		return nil, jobHeader{}, errors.New("bad run spec: samples, seed, parallel and timeout_ms must be >= 0")
 	}
 	for _, name := range spec.Experiments {
 		if _, err := experiments.ByName(name); err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "%v", err)
-			return
+			return nil, jobHeader{}, err
 		}
 	}
 	if spec.Adaptive != nil {
 		if err := spec.Adaptive.Rule().Validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad adaptive spec: %v", err)
-			return
+			return nil, jobHeader{}, fmt.Errorf("bad adaptive spec: %v", err)
 		}
 	}
 	// ?nocache=1 is the per-request escape hatch: rerun even when an
@@ -1016,247 +874,93 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if spec.Parallel <= 0 {
 		spec.Parallel = s.defaultParallel
 	}
-	tenant, ok := resolveTenant(w, r, spec.Tenant)
-	if !ok {
-		return
+	tenant, err := resolveTenant(r, spec.Tenant)
+	if err != nil {
+		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant // persist and echo the effective tenant
-
-	total := len(spec.Experiments)
-	if total == 0 {
-		total = len(experiments.All())
-	}
-
-	// Admission control: refuse work the dispatch queue cannot absorb —
-	// globally or within this tenant's quota — with a Retry-After hint,
-	// before anything is recorded.  The reservation is released job by
-	// job as the run's jobs finish.
-	admitted := 0
-	if s.disp != nil {
-		switch err := s.disp.TryAdmit(tenant, total); err {
-		case nil:
-			admitted = total
-		case ErrTenantSaturated:
-			s.writeSaturated(w, "tenant %q queue quota exceeded (%d jobs refused)", tenant, total)
-			return
-		default:
-			s.writeSaturated(w, "dispatch queue saturated (%d jobs refused)", total)
-			return
-		}
-	}
-
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if spec.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
-		return
-	}
-	if !s.tenantAdmitRunningLocked(tenant) {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		s.met.tenantRejected.Inc(tenant, "tenant_running")
-		s.writeSaturated(w, "tenant %q already has %d runs executing", tenant, s.tenantMaxRunning)
-		return
-	}
-	s.seq++
-	run := &serverRun{
-		id:       fmt.Sprintf("run-%d", s.seq),
-		srv:      s,
-		spec:     spec,
-		total:    total,
-		cancel:   cancel,
-		admitted: admitted,
-		state:    StateRunning,
-		started:  time.Now(),
-		running:  map[string]bool{},
-	}
-	s.runs[run.id] = run
-	s.active.Add(1)
-	s.met.runsKept.Set(float64(len(s.runs)))
-	s.mu.Unlock()
-
-	// Persist the spec before any work happens, so a crash at any later
-	// point leaves a resumable record.  Durability is best-effort: a
-	// store failure degrades to the in-memory behaviour and is counted —
-	// except a *fenced* write, which proves another coordinator owns the
-	// store: that refuses the run outright, because work accepted here
-	// could never be recorded and this process is about to exit.
-	if s.store != nil {
-		raw, err := json.Marshal(spec)
-		if err == nil {
-			err = s.store.Begin(run.id, raw, run.started)
-		}
-		if err != nil {
-			s.storeFailed("begin", err)
-			if errors.Is(err, runstore.ErrFenced) {
-				s.mu.Lock()
-				delete(s.runs, run.id)
-				s.met.runsKept.Set(float64(len(s.runs)))
-				s.tenantRunningAddLocked(tenant, -1)
-				s.mu.Unlock()
-				s.active.Done()
-				cancel()
-				if s.disp != nil {
-					s.disp.admitForce(tenant, -admitted)
-				}
-				writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
-					"coordinator deposed: run store is fenced at a newer lease term")
-				return
-			}
-		}
-	}
-	s.met.runs.Inc("submitted")
-	s.met.runsActive.Add(1)
-
-	go s.execute(ctx, cancel, run)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": run.id, "state": StateRunning, "total": total})
+	return &runJob{spec: spec, running: map[string]bool{}},
+		jobHeader{tenant: tenant, total: len(specOrder(spec)), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
 }
 
-// execute drives the run to completion on its own goroutine, through
-// the sharded dispatcher when one is configured and the in-process
-// engine otherwise.  Both paths produce byte-identical results for the
-// same spec and seed.
-func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, run *serverRun) {
-	defer s.active.Done()
-	defer cancel()
-	opts := RunOptions{
-		Samples:   run.spec.Samples,
-		Seed:      run.spec.Seed,
-		Short:     run.spec.Short,
-		Parallel:  run.spec.Parallel,
-		Completed: run.restored,
-		Adaptive:  run.spec.Adaptive.Rule(),
-		NoCache:   run.spec.NoCache,
+// drive runs every experiment not restored from a checkpoint, then
+// slots the restored ones back in, returning the full set in request
+// order.  Restored results all succeeded, so the dispatcher's first
+// failure is the run's.
+func (b *runJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
+	order := specOrder(b.spec)
+	var cells []Cell
+	for _, name := range order {
+		if b.restored[name] != nil {
+			continue
+		}
+		c := experimentCell{Experiment: name, Samples: b.spec.Samples, Seed: b.spec.Seed,
+			Short: b.spec.Short, Adaptive: b.spec.Adaptive}
+		key := ""
+		if !b.spec.NoCache {
+			key = ResultKey(name, c.options())
+		}
+		cells = append(cells, newCell(name, key, "run", c))
 	}
-	tenant := run.spec.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	var results []*Result
-	var err error
-	if s.disp != nil {
-		results, err = s.disp.Run(ctx, run.id, tenant, run.spec.Experiments, opts, (*runSink)(run), run.admitted)
-	} else {
-		results, err = s.eng.Run(ctx, run.spec.Experiments, opts, (*runSink)(run))
-	}
-	defer s.tenantRunningDone(tenant)
-
-	run.mu.Lock()
-	run.final = results
-	run.finished = time.Now()
-	switch {
-	case err == nil:
-		run.state = StateDone
-	case ctx.Err() != nil || anyCanceled(results):
-		run.state = StateCancelled
-		run.err = err.Error()
-	case anyOK(results):
-		run.state = StatePartial
-		run.err = err.Error()
-	default:
-		run.state = StateFailed
-		run.err = err.Error()
-	}
-	state, errMsg, userCancelled := run.state, run.err, run.userCancelled
-	ev := event{Event: "end", State: run.state, Completed: len(run.results), Total: run.total}
-	subs := run.subs
-	run.subs = nil
-	run.mu.Unlock()
-	s.met.runs.Inc(state)
-	s.met.runsActive.Add(-1)
-
-	// Record the terminal state — except for a shutdown-triggered
-	// cancellation, which deliberately leaves the run interrupted in the
-	// store so the next startup resumes it from its checkpoints.  An
-	// explicit DELETE is a user decision and stays terminal.
-	if s.store != nil {
-		s.mu.Lock()
-		closing := s.closed
-		s.mu.Unlock()
-		if state != StateCancelled || userCancelled || !closing {
-			if err := s.store.End(run.id, state, errMsg); err != nil {
-				s.storeFailed("end", err)
-			}
+	results, err := j.dispatch(ctx, cells)
+	out := make([]*Result, len(order))
+	for i, name := range order {
+		if out[i] = b.restored[name]; out[i] == nil {
+			out[i], results = results[0], results[1:]
 		}
 	}
+	return out, err
+}
 
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // dead reader with a full buffer; the close wakes it
-		}
-		close(ch)
+func (b *runJob) started(name string) *event {
+	b.running[name] = true
+	return &event{Event: "started", Experiment: name}
+}
+
+func (b *runJob) done(res *Result) *event {
+	delete(b.running, res.Experiment)
+	b.results = append(b.results, res)
+	return &event{Event: "done", Experiment: res.Experiment, Error: res.Err,
+		WallMs: res.WallNs / int64(time.Millisecond)}
+}
+
+func (b *runJob) status(j *serverJob, v statusView) any {
+	st := RunStatus{
+		ID:        j.id,
+		Kind:      "run",
+		State:     j.state,
+		Tenant:    b.spec.Tenant,
+		Spec:      b.spec,
+		Total:     j.hdr.total,
+		Completed: j.completed,
+		Resumed:   b.resumed,
+		Error:     j.err,
+		StartedAt: j.started,
 	}
-}
-
-func anyCanceled(rs []*Result) bool {
-	for _, r := range rs {
-		if r != nil && r.Canceled() {
-			return true
-		}
+	st.FinishedAt, st.WallMs = j.timing()
+	for name := range b.running {
+		st.Running = append(st.Running, name)
 	}
-	return false
+	st.Results, st.Measurements, st.Samples = j.shownResults(b.results, v)
+	return st
 }
 
-func anyOK(rs []*Result) bool {
-	for _, r := range rs {
-		if r != nil && r.Status == StatusOK {
-			return true
-		}
+func (b *runJob) canonical(j *serverJob) ([]byte, error) {
+	if j.final != nil {
+		return CanonicalRunJSON(j.final)
 	}
-	return false
+	return CanonicalRunJSON(b.results)
 }
 
-// runSink adapts a serverRun to the engine's progress Sink.
-type runSink serverRun
-
-func (rs *runSink) ExperimentStarted(name string) {
-	r := (*serverRun)(rs)
-	r.broadcast(func() event {
-		r.running[name] = true
-		return event{Event: "started", Experiment: name}
-	})
-}
-
-func (rs *runSink) ExperimentDone(res *Result) {
-	r := (*serverRun)(rs)
-	r.broadcast(func() event {
-		delete(r.running, res.Experiment)
-		r.results = append(r.results, res)
-		return event{Event: "done", Experiment: res.Experiment, Error: res.Err,
-			WallMs: res.WallNs / int64(time.Millisecond), Completed: len(r.results), Total: r.total}
-	})
-	r.checkpoint(res)
-}
-
-// checkpoint durably records a completed experiment.  Results of any
-// status are written (so a restored finished run is complete), but only
-// StatusOK checkpoints are reused on resume — failed and cancelled
-// experiments get a fresh attempt.  Store failures degrade durability,
-// never the run.
-func (r *serverRun) checkpoint(res *Result) {
-	s := r.srv
-	if s == nil || s.store == nil {
-		return
-	}
+// checkpoint durably records a completed cell of a durable job.  Results
+// of any status are written (so a restored finished run is complete),
+// but only StatusOK checkpoints are reused on resume — failed and
+// cancelled experiments get a fresh attempt.  Store failures degrade
+// durability, never the job.
+func (s *Server) checkpoint(id string, res *Result) {
 	raw, err := json.Marshal(res)
 	if err == nil {
-		err = s.store.Checkpoint(r.id, res.Experiment, raw)
+		err = s.store.Checkpoint(id, res.Experiment, raw)
 	}
 	if err != nil {
 		s.storeFailed("checkpoint", err)
@@ -1265,301 +969,30 @@ func (r *serverRun) checkpoint(res *Result) {
 	s.met.checkpoints.Inc()
 }
 
-// broadcast applies a state mutation under the run's lock and fans the
-// resulting event out to stream subscribers.
-func (r *serverRun) broadcast(mutate func() event) {
-	r.mu.Lock()
-	ev := mutate()
-	subs := append([]chan event{}, r.subs...)
-	r.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // a slow stream reader drops progress, never blocks the run
-		}
-	}
-}
-
-// status snapshots the run.
-func (r *serverRun) status(includeResults bool) RunStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.statusLocked(includeResults)
-}
-
-// statusLocked builds the snapshot; r.mu must be held.
-func (r *serverRun) statusLocked(includeResults bool) RunStatus {
-	st := RunStatus{
-		ID:        r.id,
-		Kind:      "run",
-		State:     r.state,
-		Tenant:    r.spec.Tenant,
-		Spec:      r.spec,
-		Total:     r.total,
-		Completed: len(r.results),
-		Resumed:   r.resumed,
-		StartedAt: r.started,
-	}
-	if !r.finished.IsZero() {
-		fin := r.finished
-		st.FinishedAt = &fin
-	}
-	for name := range r.running {
-		st.Running = append(st.Running, name)
-	}
-	counted := r.results
-	if r.final != nil {
-		counted = r.final
-	}
-	for _, res := range counted {
-		if res != nil {
-			st.Measurements += res.Measurements
-			st.Samples += res.Samples
-		}
-	}
-	end := r.finished
-	if end.IsZero() {
-		end = time.Now()
-	}
-	st.WallMs = end.Sub(r.started).Milliseconds()
-	st.Error = r.err
-	if includeResults || r.state != StateRunning {
-		if r.final != nil {
-			st.Results = r.final
-		} else {
-			st.Results = append([]*Result{}, r.results...)
-		}
-	}
-	return st
-}
-
-// subscribe atomically snapshots the run and, if it is still running,
-// registers ch for subsequent events.  Taking the snapshot under the
-// same lock that appends the subscriber is what makes the stream
-// exactly-once: an event is either reflected in the snapshot or
-// delivered on ch, never both and never neither.
-func (r *serverRun) subscribe(ch chan event) (snapshot RunStatus, subscribed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	snapshot = r.statusLocked(false)
-	if r.state == StateRunning {
-		r.subs = append(r.subs, ch)
-		return snapshot, true
-	}
-	return snapshot, false
-}
-
-// unsubscribe removes ch from the run's subscriber list, if present.
-func (r *serverRun) unsubscribe(ch chan event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, sub := range r.subs {
-		if sub == ch {
-			r.subs = append(r.subs[:i], r.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *Server) lookup(r *http.Request) (*serverRun, string) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[id], id
-}
-
-// runIDLess is the listing order: submission order for run-N IDs
-// (run-2 before run-10), length-then-lexicographic in general.
-func runIDLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request, legacy bool) {
-	s.mu.Lock()
-	runs := make([]*serverRun, 0, len(s.runs))
-	for _, run := range s.runs {
-		runs = append(runs, run)
-	}
-	s.mu.Unlock()
-	out := make([]RunStatus, 0, len(runs))
-	for _, run := range runs {
-		out = append(out, run.status(false))
-	}
-	if legacy {
-		sort.Slice(out, func(i, j int) bool { return runIDLess(out[i].ID, out[j].ID) })
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	writeJobPage(w, r, out, func(st RunStatus) string { return st.ID })
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookup(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown run %q", id)
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamStatus(w, r, run)
-		return
-	}
-	if r.URL.Query().Get("canonical") != "" {
-		s.canonicalStatus(w, run)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.status(r.URL.Query().Get("results") != ""))
-}
-
-// canonicalStatus serves a finished run's CanonicalRunJSON — the
-// byte-comparable form (wall times zeroed) used to verify that sharded,
-// resumed and local executions of the same spec agree exactly.
-func (s *Server) canonicalStatus(w http.ResponseWriter, run *serverRun) {
-	run.mu.Lock()
-	state := run.state
-	results := run.final
-	if results == nil {
-		results = append([]*Result{}, run.results...)
-	}
-	run.mu.Unlock()
-	if state == StateRunning {
-		writeErr(w, http.StatusConflict, ErrCodeConflict, "run %s is still running; canonical JSON exists only for finished runs", run.id)
-		return
-	}
-	raw, err := CanonicalRunJSON(results)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", "canonicalise run %s: %v", run.id, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
-}
-
-// streamStatus serves NDJSON progress: one snapshot line, then an event
-// line per experiment start/finish, then an "end" line.  The snapshot
-// and the subscription are taken atomically, so each progress event
-// appears exactly once — either folded into the snapshot or streamed.
-// Encode errors (a client that went away mid-write) end the stream.
-func (s *Server) streamStatus(w http.ResponseWriter, r *http.Request, run *serverRun) {
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-
-	ch := make(chan event, 64)
-	snapshot, subscribed := run.subscribe(ch)
-
-	if err := enc.Encode(snapshot); err != nil {
-		if subscribed {
-			run.unsubscribe(ch)
-		}
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if !subscribed {
-		enc.Encode(event{Event: "end", State: snapshot.State, Completed: snapshot.Completed, Total: snapshot.Total})
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				run.unsubscribe(ch)
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ev.Event == "end" {
-				return
-			}
-		case <-r.Context().Done():
-			run.unsubscribe(ch)
-			return
-		}
-	}
-}
-
-// handleCancel cancels a running run.  On a finished run it acts as a
-// removal: the run is deleted from the catalogue (the manual counterpart
-// of the retention sweep).
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookup(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown run %q", id)
-		return
-	}
-	// Mark the cancellation as a user decision before it takes effect, so
-	// execute records it as terminal rather than resumable.
-	run.mu.Lock()
-	run.userCancelled = true
-	state := run.state
-	run.mu.Unlock()
-	run.cancel()
-	if state != StateRunning {
-		s.mu.Lock()
-		// Re-check under s.mu: a concurrent DELETE may have removed it.
-		if _, ok := s.runs[id]; ok {
-			delete(s.runs, id)
-			s.met.runsKept.Set(float64(len(s.runs)))
-			s.mu.Unlock()
-			s.met.runsSwept.Inc()
-			if s.store != nil {
-				if err := s.store.Delete(id); err != nil {
-					s.storeFailed("delete", err)
-				}
-			}
-		} else {
-			s.mu.Unlock()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": run.id, "state": state, "deleted": true})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": run.id, "state": "cancelling"})
-}
-
 // --- Worker lease protocol (sharded execution backend) -------------------
 //
-// Remote wmmworker processes pull work through three endpoints:
+// Remote wmmworker processes pull cells through three endpoints:
 //
 //	POST /api/v1/leases                  {"worker": "w1", "max_jobs": 4}
-//	  -> {"lease_id": "lease-3", "ttl_ms": 15000, "jobs": [wireJob...]}
+//	  -> {"lease_id": "lease-3", "ttl_ms": 15000, "jobs": [wireCell...]}
 //	     (lease_id empty and jobs [] when the queue has no work)
 //	POST /api/v1/leases/{id}/heartbeat   -> {"ttl_ms": 15000}; 410 if gone
 //	POST /api/v1/leases/{id}/results     {"results": [{run_id, experiment,
 //	  result}]} -> {"accepted": N, "requeued": M}; 410 if the lease
 //	  expired (its jobs were re-queued; the worker drops the batch)
 //
-// A job is (run_id, experiment, samples, seed, short) — everything a
-// worker needs to reproduce the exact bytes a local execution would
-// have produced, thanks to positional seed derivation.  Litmus shard
-// jobs ride the same leases with a "litmus" payload instead: the shard
-// descriptor (arch, generator seed/count, trials, seed, index range)
-// from which the worker regenerates its slice of the batch.
+// Every kind's cell travels in the same wire cell: the job it belongs to,
+// its name, and its kind's self-contained descriptor — an experiment's
+// (samples, seed, short, adaptive), a litmus shard's generator range, an
+// optimizer cell's spec — from which Engine.RunCell reproduces the exact
+// bytes a local execution would have produced.
 
-// wireJob is one leased job on the wire: an experiment job, or — when
-// Litmus is non-nil — a litmus shard job (Experiment then carries the
-// shard name and the samples/seed/short fields are unused).
-type wireJob struct {
-	RunID      string        `json:"run_id"`
-	Experiment string        `json:"experiment"`
-	Samples    int           `json:"samples,omitempty"`
-	Seed       int64         `json:"seed,omitempty"`
-	Short      bool          `json:"short"`
-	Adaptive   *AdaptiveSpec `json:"adaptive,omitempty"`
-	Litmus     *LitmusShard  `json:"litmus,omitempty"`
-	// Optimize carries an optimizer-cell job (Experiment then holds the
-	// cell name): the cell descriptor from which the worker re-derives
-	// the exact gate or measurement a local execution would run.
-	Optimize *optimize.Cell `json:"optimize,omitempty"`
+// wireCell is one leased cell on the wire.
+type wireCell struct {
+	RunID      string          `json:"run_id"`
+	Experiment string          `json:"experiment"` // the cell's name
+	Kind       string          `json:"kind"`
+	Cell       json.RawMessage `json:"cell"`
 }
 
 // leaseRequest is the body of POST /api/v1/leases.
@@ -1570,9 +1003,9 @@ type leaseRequest struct {
 
 // leaseGrant is the response: a batch of jobs under a TTL'd lease.
 type leaseGrant struct {
-	LeaseID string    `json:"lease_id,omitempty"`
-	TTLMs   int64     `json:"ttl_ms,omitempty"`
-	Jobs    []wireJob `json:"jobs"`
+	LeaseID string     `json:"lease_id,omitempty"`
+	TTLMs   int64      `json:"ttl_ms,omitempty"`
+	Jobs    []wireCell `json:"jobs"`
 }
 
 // wireJobResult is one uploaded result; Result is the engine's Result
@@ -1585,10 +1018,6 @@ type wireJobResult struct {
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad lease request: %v", err)
@@ -1599,27 +1028,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, ttl, jobs := s.disp.Lease(req.Worker, req.MaxJobs)
-	grant := leaseGrant{LeaseID: id, TTLMs: ttl.Milliseconds(), Jobs: []wireJob{}}
+	grant := leaseGrant{LeaseID: id, TTLMs: ttl.Milliseconds(), Jobs: []wireCell{}}
 	for _, j := range jobs {
-		grant.Jobs = append(grant.Jobs, wireJob{
-			RunID:      j.runID,
-			Experiment: j.name,
-			Samples:    j.opts.Samples,
-			Seed:       j.opts.Seed,
-			Short:      j.opts.Short,
-			Adaptive:   SpecFromRule(j.opts.Adaptive),
-			Litmus:     j.litmus,
-			Optimize:   j.optimize,
-		})
+		grant.Jobs = append(grant.Jobs, wireCell{RunID: j.runID, Experiment: j.cell.Name, Kind: j.cell.Kind, Cell: j.cell.Desc})
 	}
 	writeJSON(w, http.StatusOK, grant)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	id := r.PathValue("id")
 	ttl, ok := s.disp.Heartbeat(id)
 	if !ok {
@@ -1630,10 +1046,6 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	id := r.PathValue("id")
 	var req struct {
 		Results []wireJobResult `json:"results"`

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/wmm/client"
 )
 
@@ -311,12 +312,27 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerShutdown verifies the shutdown ordering fix: Shutdown
-// cancels an in-flight run, waits for its executor, and afterwards
-// closing the engine does not panic with a send on a closed channel.
+// cancels an in-flight run, waits for its executor and for the local
+// slot still inside the run's cell, and afterwards closing the engine
+// does not panic with a send on a closed channel.
 func TestServerShutdown(t *testing.T) {
-	ts, api, eng := newTestServerOpts(t, ServerOptions{Parallel: 2})
+	// Every sample sleeps first, so a sample is still executing when the
+	// cancellation has already resolved the run's cell.
+	fault := faultinject.New(faultinject.Rule{Point: faultinject.PointSample,
+		Action: faultinject.Action{Delay: 500 * time.Millisecond}})
+	eng := New(Options{Workers: 2, Fault: fault})
+	t.Cleanup(eng.Close)
+	api := NewServer(eng, ServerOptions{Parallel: 2})
+	ts := httptest.NewServer(api.Handler())
+	t.Cleanup(ts.Close)
 	// txt1 at full size is minutes of work; shutdown must not wait for it.
 	id := postRun(t, ts, `{"experiments": ["txt1"], "seed": 3}`)
+	for deadline := time.Now().Add(time.Minute); fault.Fired(faultinject.PointSample) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no sample started within a minute")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -329,6 +345,9 @@ func TestServerShutdown(t *testing.T) {
 	}
 
 	// The engine can now close safely: no Measure is mid-send.
+	if busy := eng.met.workersBusy.Value(); busy != 0 {
+		t.Errorf("%v samples still executing after Shutdown returned", busy)
+	}
 	eng.Close()
 
 	// The run was cancelled, not abandoned.

@@ -64,7 +64,7 @@ func TestFairShareDequeueOrder(t *testing.T) {
 			d.push(&dispatchJob{
 				runID:  fmt.Sprintf("%s-run", tenant),
 				tenant: tenant,
-				name:   fmt.Sprintf("%s-%d", tenant, i),
+				cell:   Cell{Name: fmt.Sprintf("%s-%d", tenant, i)},
 				ctx:    context.Background(),
 			})
 		}

@@ -1,15 +1,15 @@
 // Package worker is the execution side of the sharded backend: a loop
-// that leases batches of jobs — experiments, shards of generated litmus
+// that leases batches of cells — experiments, shards of generated litmus
 // campaigns, or fence-optimizer cells — from a wmmd coordinator over
 // the v1 API, executes them on a local engine, and uploads the results.
 //
 // The loop is deliberately stateless between batches.  All durability
 // lives on the coordinator: if a worker dies mid-batch its lease
-// expires and the coordinator re-queues the jobs, and because every job
-// is fully determined by (experiment, seed, samples, short) via
-// positional seed derivation, whichever process eventually executes it
-// produces byte-identical results.  A worker therefore never needs to
-// hand off partial state — it just stops heartbeating.
+// expires and the coordinator re-queues the cells, and because every
+// cell is fully determined by its descriptor via positional seed
+// derivation, whichever process eventually executes it produces
+// byte-identical results.  A worker therefore never needs to hand off
+// partial state — it just stops heartbeating.
 package worker
 
 import (
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/optimize"
 	"repro/wmm/client"
 )
 
@@ -147,53 +146,11 @@ func runBatch(ctx context.Context, cl *client.Client, id string, eng *engine.Eng
 			break
 		}
 		logger.Printf("worker %s: executing %s/%s", id, job.RunID, job.Experiment)
-		var res *engine.Result
-		var err error
-		if job.Litmus != nil {
-			// Litmus shard: regenerate the batch from the descriptor and
-			// run this worker's slice — no programs cross the wire.
-			res, err = engine.RunLitmusShard(batchCtx, engine.LitmusShard{
-				Arch:       job.Litmus.Arch,
-				GenSeed:    job.Litmus.GenSeed,
-				Count:      job.Litmus.Count,
-				MaxThreads: job.Litmus.MaxThreads,
-				Trials:     job.Litmus.Trials,
-				Seed:       job.Litmus.Seed,
-				Lo:         job.Litmus.Lo,
-				Hi:         job.Litmus.Hi,
-			})
-		} else if len(job.Optimize) > 0 {
-			// Optimizer cell: the client carries the descriptor opaquely;
-			// decode it here, where the engine's types are available, and
-			// re-derive the gate or measurement from the spec.
-			var cell optimize.Cell
-			if derr := json.Unmarshal(job.Optimize, &cell); derr != nil {
-				err = fmt.Errorf("undecodable optimize cell: %w", derr)
-			} else {
-				res, err = engine.RunOptimizeCell(batchCtx, cell)
-			}
-		} else {
-			opts := engine.RunOptions{
-				Samples: job.Samples,
-				Seed:    job.Seed,
-				Short:   job.Short,
-			}
-			if job.Adaptive != nil {
-				// Same normalisation as the coordinator: the stop decision
-				// is a pure function of positionally-seeded samples, so the
-				// worker stops at the same n with the same values.
-				opts.Adaptive = (&engine.AdaptiveSpec{
-					RelPrecision: job.Adaptive.RelPrecision,
-					MinSamples:   job.Adaptive.MinSamples,
-					MaxSamples:   job.Adaptive.MaxSamples,
-				}).Rule()
-			}
-			res, err = eng.RunExperiment(batchCtx, job.Experiment, opts)
-		}
+		res, err := eng.RunCell(batchCtx, job.Kind, job.Cell)
 		if err != nil {
-			// Unknown experiment or malformed shard — a protocol-level
-			// mismatch, not an execution failure.  Skip it; the
-			// coordinator re-queues.
+			// An unknown kind or experiment, or a malformed descriptor — a
+			// protocol-level mismatch, not an execution failure.  Skip it;
+			// the coordinator re-queues.
 			logger.Printf("worker %s: %s/%s: %v", id, job.RunID, job.Experiment, err)
 			continue
 		}

@@ -26,9 +26,10 @@ var e2eSpec = client.RunSpec{
 	Parallel:    2,
 }
 
-// newCoordinator builds a wmmd-equivalent server.  With dispatch set,
-// runs shard onto the job queue; LocalSlots -1 makes it a pure
-// coordinator that depends entirely on leased workers.
+// newCoordinator builds a wmmd-equivalent server; nil dispatch means
+// the default options, whose local slots execute every cell in-process.
+// LocalSlots -1 makes it a pure coordinator that depends entirely on
+// leased workers.
 func newCoordinator(t *testing.T, dispatch *engine.DispatchOptions) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 2})
@@ -128,7 +129,7 @@ func metricValue(t *testing.T, ts *httptest.Server, series string) float64 {
 // to a coordinator with no local execution produces canonical JSON
 // byte-identical to the same spec run on a plain local server.
 func TestDistributedCanonicalIdentity(t *testing.T) {
-	// Baseline: the original in-process path, no dispatcher at all.
+	// Baseline: the same coordinator shape executing on its local slots.
 	tsLocal := newCoordinator(t, nil)
 	want := canonical(t, tsLocal, runToDone(t, tsLocal, e2eSpec, 2*time.Minute))
 

@@ -280,8 +280,13 @@ func (c *Client) Run(ctx context.Context, id string, includeResults bool) (RunSt
 // be identical for local, sharded and resumed executions of the same
 // spec and seed.
 func (c *Client) CanonicalRun(ctx context.Context, id string) ([]byte, error) {
+	return c.canonical(ctx, "runs", id)
+}
+
+// canonical fetches a finished job's ?canonical=1 bytes, raw.
+func (c *Client) canonical(ctx context.Context, resource, id string) ([]byte, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
-		c.base+"/api/v1/runs/"+url.PathEscape(id)+"?canonical=1", nil)
+		c.base+"/api/v1/"+resource+"/"+url.PathEscape(id)+"?canonical=1", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -311,16 +316,22 @@ func (c *Client) CancelRun(ctx context.Context, id string) (CancelResponse, erro
 // WaitRun polls a run until it leaves the running state (or ctx ends),
 // returning the final status.
 func (c *Client) WaitRun(ctx context.Context, id string, poll time.Duration) (RunStatus, error) {
+	return wait(ctx, poll, func() (RunStatus, string, error) {
+		st, err := c.Run(ctx, id, false)
+		return st, st.State, err
+	})
+}
+
+// wait polls get until the job it reads leaves the running state (or ctx
+// ends), returning the last status read.
+func wait[S any](ctx context.Context, poll time.Duration, get func() (S, string, error)) (S, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
 	}
 	for {
-		st, err := c.Run(ctx, id, false)
-		if err != nil {
+		st, state, err := get()
+		if err != nil || state != StateRunning {
 			return st, err
-		}
-		if st.State != StateRunning {
-			return st, nil
 		}
 		t := time.NewTimer(poll)
 		select {
@@ -404,49 +415,17 @@ func (c *Client) Litmus(ctx context.Context, id string, includeResults bool) (Li
 // WaitLitmus polls a campaign until it leaves the running state (or ctx
 // ends), returning the final status.
 func (c *Client) WaitLitmus(ctx context.Context, id string, poll time.Duration) (LitmusStatus, error) {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
+	return wait(ctx, poll, func() (LitmusStatus, string, error) {
 		st, err := c.Litmus(ctx, id, false)
-		if err != nil {
-			return st, err
-		}
-		if st.State != StateRunning {
-			return st, nil
-		}
-		t := time.NewTimer(poll)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return st, ctx.Err()
-		}
-	}
+		return st, st.State, err
+	})
 }
 
 // CanonicalLitmus returns a finished campaign's canonical JSON — the
 // ordered shard results with wall times zeroed, byte-identical for
 // local, sharded and re-executed campaigns of the same spec.
 func (c *Client) CanonicalLitmus(ctx context.Context, id string) ([]byte, error) {
-	req, err := c.newRequest(ctx, http.MethodGet,
-		c.base+"/api/v1/litmus/"+url.PathEscape(id)+"?canonical=1", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErr(resp, raw)
-	}
-	return raw, nil
+	return c.canonical(ctx, "litmus", id)
 }
 
 // CancelLitmus cancels a running campaign, or removes a finished one
@@ -492,49 +471,17 @@ func (c *Client) OptimizeList(ctx context.Context, p Page) (OptimizePage, error)
 // WaitOptimize polls an optimizer job until it leaves the running state
 // (or ctx ends), returning the final status.
 func (c *Client) WaitOptimize(ctx context.Context, id string, poll time.Duration) (OptimizeStatus, error) {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
+	return wait(ctx, poll, func() (OptimizeStatus, string, error) {
 		st, err := c.Optimize(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State != StateRunning {
-			return st, nil
-		}
-		t := time.NewTimer(poll)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return st, ctx.Err()
-		}
-	}
+		return st, st.State, err
+	})
 }
 
 // CanonicalOptimize returns a finished optimizer job's canonical report
 // JSON — byte-identical for the same spec and seed wherever the job's
 // cells executed (local, sharded, or served from the result cache).
 func (c *Client) CanonicalOptimize(ctx context.Context, id string) ([]byte, error) {
-	req, err := c.newRequest(ctx, http.MethodGet,
-		c.base+"/api/v1/optimize/"+url.PathEscape(id)+"?canonical=1", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErr(resp, raw)
-	}
-	return raw, nil
+	return c.canonical(ctx, "optimize", id)
 }
 
 // CancelOptimize cancels a running optimizer job, or removes a finished
@@ -545,8 +492,8 @@ func (c *Client) CancelOptimize(ctx context.Context, id string) (CancelResponse,
 	return out, err
 }
 
-// Lease asks the coordinator for a batch of up to maxJobs experiment
-// jobs under a new lease.  worker identifies this process in
+// Lease asks the coordinator for a batch of up to maxJobs cells under a
+// new lease.  worker identifies this process in
 // assignment records and logs.  An empty grant (LeaseID == "") means
 // no work was queued.
 func (c *Client) Lease(ctx context.Context, worker string, maxJobs int) (LeaseGrant, error) {

@@ -34,8 +34,8 @@ type RunSpec struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// AdaptiveSpec is the sequential stopping rule carried by RunSpec and
-// leased jobs, mirroring the server's.
+// AdaptiveSpec is the sequential stopping rule carried by RunSpec,
+// mirroring the server's.
 type AdaptiveSpec struct {
 	// RelPrecision stops sampling once (CI half-width)/|mean| is at or
 	// below it; must be in (0, 1].
@@ -152,21 +152,15 @@ type CancelResponse struct {
 	Deleted bool   `json:"deleted,omitempty"`
 }
 
-// Job is one leased job: everything a worker needs to reproduce the
-// exact bytes a local execution would produce.  When Litmus is non-nil
-// the job is a litmus shard (Experiment carries the shard name and the
-// samples/seed/short fields are unused); when Optimize is non-empty it
-// is a fence-optimizer cell, carried opaquely — the worker decodes it
-// with the engine's cell type, which the client does not redeclare.
+// Job is one leased cell: the job it belongs to (RunID), its name
+// (Experiment), and Kind's self-contained descriptor, carried opaquely —
+// the worker hands Kind and Cell to the engine, whose cell types the
+// client does not redeclare.
 type Job struct {
 	RunID      string          `json:"run_id"`
 	Experiment string          `json:"experiment"`
-	Samples    int             `json:"samples,omitempty"`
-	Seed       int64           `json:"seed,omitempty"`
-	Short      bool            `json:"short"`
-	Adaptive   *AdaptiveSpec   `json:"adaptive,omitempty"`
-	Litmus     *LitmusJob      `json:"litmus,omitempty"`
-	Optimize   json.RawMessage `json:"optimize,omitempty"`
+	Kind       string          `json:"kind"`
+	Cell       json.RawMessage `json:"cell"`
 }
 
 // LitmusSpec is the body of POST /api/v1/litmus: a campaign of
@@ -195,19 +189,6 @@ type LitmusSpec struct {
 	// Tenant names the fair-share queue and quota bucket the campaign
 	// is accounted to (the X-WMM-Tenant header wins; empty = "default").
 	Tenant string `json:"tenant,omitempty"`
-}
-
-// LitmusJob is the shard descriptor carried by a leased litmus job:
-// tests [Lo,Hi) of the batch (GenSeed, Count, MaxThreads) generates.
-type LitmusJob struct {
-	Arch       string `json:"arch"`
-	GenSeed    int64  `json:"gen_seed,omitempty"`
-	Count      int    `json:"count"`
-	MaxThreads int    `json:"max_threads,omitempty"`
-	Trials     int    `json:"trials,omitempty"`
-	Seed       int64  `json:"seed,omitempty"`
-	Lo         int    `json:"lo"`
-	Hi         int    `json:"hi"`
 }
 
 // LitmusStatus is the snapshot served by GET /api/v1/litmus/{id}.
