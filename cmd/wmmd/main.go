@@ -5,9 +5,9 @@
 // Usage:
 //
 //	wmmd [-addr :8347] [-workers N] [-parallel N] [-retain 24h]
-//	     [-data DIR] [-store jsonl|segment] [-sample-timeout 5m]
-//	     [-sample-retries 2] [-local-slots N] [-lease-ttl 15s]
-//	     [-max-batch 4] [-max-queue 1024] [-cache-entries 256]
+//	     [-data DIR] [-sample-timeout 5m] [-sample-retries 2]
+//	     [-local-slots N] [-lease-ttl 15s] [-max-batch 4]
+//	     [-max-queue 1024] [-cache-entries 256]
 //	     [-cache-retain 168h] [-tenant-max-queued N]
 //	     [-tenant-max-running N] [-tenant-weights a=2,b=1]
 //	     [-ha] [-ha-id ID] [-ha-ttl 10s] [-ops-addr :8348]
@@ -82,9 +82,8 @@
 // restored into the catalogue while interrupted runs resume from their
 // last checkpoint.  Positional seed derivation makes a resumed run's
 // results identical to an uninterrupted one (see docs/ROBUSTNESS.md).
-// -store picks the layout: "jsonl" (one append-only file per run, the
-// default) or "segment" (shared immutable segments with crash-safe
-// compaction — fewer files, bounded by background folding).
+// All runs share append-only log segments under DIR, folded by
+// crash-safe compaction.
 //
 // Submissions are accounted to tenants (X-WMM-Tenant header or the
 // spec's "tenant" field; default "default").  The dispatcher dequeues
@@ -209,7 +208,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 1024, "max unfinished jobs admitted before submissions get 429")
 	cacheEntries := flag.Int("cache-entries", 256, "in-memory result-cache entries (0 = default, -1 = disable result caching)")
 	cacheRetain := flag.Duration("cache-retain", 7*24*time.Hour, "garbage-collect persisted result-cache entries after this long (0 = keep forever)")
-	storeKind := flag.String("store", runstore.KindJSONL, "run-store layout under -data: jsonl or segment")
 	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "max unfinished jobs admitted per tenant (0 = only -max-queue applies)")
 	tenantMaxRunning := flag.Int("tenant-max-running", 0, "max concurrently executing jobs (runs, litmus campaigns, optimizer jobs) per tenant (0 = unbounded)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-share weights as tenant=N[,tenant=N...] (default weight 1)")
@@ -286,12 +284,11 @@ func main() {
 
 	var store runstore.Storage
 	if *dataDir != "" {
-		store, err = runstore.OpenBackend(*storeKind, *dataDir)
+		seg, err := runstore.OpenSegment(*dataDir)
 		if err != nil {
 			log.Fatalf("wmmd: -data %s: %v", *dataDir, err)
 		}
-	} else if *storeKind != runstore.KindJSONL {
-		log.Fatalf("wmmd: -store %s needs -data", *storeKind)
+		store = seg
 	}
 
 	// One registry serves the whole process, created before the engine
@@ -355,8 +352,8 @@ func main() {
 			if err != nil {
 				return nil, fmt.Errorf("restoring runs from %s: %w", *dataDir, err)
 			}
-			log.Printf("wmmd: run store %s (%s): %d finished runs restored, %d interrupted runs resumed",
-				*dataDir, store.Kind(), restored, resumed)
+			log.Printf("wmmd: run store %s: %d finished runs restored, %d interrupted runs resumed",
+				*dataDir, restored, resumed)
 		}
 
 		mux := http.NewServeMux()
@@ -445,7 +442,7 @@ func main() {
 					log.Printf("wmmd: serve: %v", err)
 				}
 			}()
-			log.Printf("wmmd: leader serving on %s (data %s, store %s)", *addr, dataDesc, store.Kind())
+			log.Printf("wmmd: leader serving on %s (data %s)", *addr, dataDesc)
 			return h, nil
 		},
 	})

@@ -24,9 +24,9 @@ import (
 // fenced at the same term under its own name — the state a lost
 // double-claim race leaves behind, and the sharpest case because the
 // term alone cannot distinguish the two claimants.
-func fenceOut(t *testing.T, dir string, leader *runstore.Store) {
+func fenceOut(t *testing.T, dir string, leader *runstore.SegmentStore) {
 	t.Helper()
-	rival, err := runstore.Open(dir)
+	rival, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func fenceOut(t *testing.T, dir string, leader *runstore.Store) {
 // (even across repeated submissions), and counts every fenced write.
 func TestFencedSubmitRefused(t *testing.T) {
 	dir := t.TempDir()
-	store, err := runstore.Open(dir)
+	store, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFencedSubmitRefused(t *testing.T) {
 // counted, OnFenced fires, and the client still gets its 200.
 func TestFencedDeleteDegrades(t *testing.T) {
 	dir := t.TempDir()
-	store, err := runstore.Open(dir)
+	store, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

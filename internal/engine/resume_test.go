@@ -53,7 +53,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	// Server A: every pooled sample is slowed a little, so the shutdown
 	// below reliably lands while ext-c11 is mid-flight.  Delays change
 	// timing only, never sample values.
-	storeA, err := runstore.Open(dir)
+	storeA, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	}
 
 	// Server B: a fresh process image over the same data directory.
-	storeB, err := runstore.Open(dir)
+	storeB, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 // DELETE removes its file.
 func TestRestoreFinishedRun(t *testing.T) {
 	dir := t.TempDir()
-	storeA, err := runstore.Open(dir)
+	storeA, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRestoreFinishedRun(t *testing.T) {
 	tsA.Close()
 	engA.Close()
 
-	storeB, err := runstore.Open(dir)
+	storeB, err := runstore.OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRestoreFinishedRun(t *testing.T) {
 // serving, 503 once shutdown begins, and the store state is reported.
 func TestReadyz(t *testing.T) {
 	storeDir := t.TempDir()
-	store, err := runstore.Open(storeDir)
+	store, err := runstore.OpenSegment(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,8 +167,8 @@ type ServerOptions struct {
 	// experiment results are checkpointed as they happen, and Restore
 	// replays them after a restart — resuming interrupted runs from
 	// their last checkpoint.  A nil Store is the in-memory-only
-	// behaviour.  Any runstore backend works (JSONL or segment); take
-	// care to leave this nil rather than storing a typed-nil pointer.
+	// behaviour.  Take care to leave this nil rather than storing a
+	// typed-nil *runstore.SegmentStore.
 	Store runstore.Storage
 	// Dispatch configures the sharded execution backend every job runs
 	// on: a job's cells (a run's experiments, a campaign's shards, an

@@ -284,7 +284,7 @@ func TestHADeposedLeader(t *testing.T) {
 
 // TestHAOptionValidation pins the constructor contract.
 func TestHAOptionValidation(t *testing.T) {
-	store, err := runstore.Open(t.TempDir())
+	store, err := runstore.OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

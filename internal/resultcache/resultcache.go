@@ -46,7 +46,7 @@ const (
 	SourceSingleflight = "singleflight" // delivered by a concurrent leader
 )
 
-// Persist is the optional durable layer.  *runstore.Store implements it.
+// Persist is the optional durable layer.  *runstore.SegmentStore implements it.
 // Implementations must be safe for concurrent use; Get misses return
 // (nil, false).
 type Persist interface {

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-func cacheStore(t *testing.T) *Store {
+func cacheStore(t *testing.T) *SegmentStore {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

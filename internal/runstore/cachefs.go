@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Content-addressed result cache layer, shared by both backends.
+// Content-addressed result cache layer.
 //
 // Alongside run records, a store holds a flat namespace of
 // content-addressed cache entries under dir/cache/: one <key>.json file
@@ -22,9 +22,9 @@ import (
 // cacheDir is the store subdirectory holding cache entries.
 const cacheDir = "cache"
 
-// cacheFS implements the cache layer over a store root directory.  Both
-// backends embed it, which keeps cache entries portable between the
-// JSONL and segment layouts (only run records differ on disk).
+// cacheFS implements the cache layer over a store root directory.  The
+// segment store embeds it; entries live in their own subdirectory, apart
+// from the run records.
 type cacheFS struct {
 	root string
 }

@@ -12,51 +12,35 @@ import (
 	"time"
 )
 
-// The Storage conformance suite: every backend must exhibit the same
-// observable behaviour for run records, torn-tail replay, the cache
-// layer, and the coordinator lease.  Run under -race in CI — the suite
-// includes a concurrent-access section.
+// The Storage conformance suite: the observable behaviour of run
+// records, torn-tail replay, the cache layer, and the coordinator lease.
+// Run under -race in CI — the suite includes a concurrent-access section.
 
-// backends enumerates the Storage implementations under test.  openSeg
-// shrinks segment thresholds so sealing and compaction actually happen
-// inside the suite.
-var backends = []struct {
-	kind string
-	open func(t *testing.T, dir string) Storage
-}{
-	{KindJSONL, func(t *testing.T, dir string) Storage {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		return s
-	}},
-	{KindSegment, func(t *testing.T, dir string) Storage {
-		s, err := OpenSegment(dir)
-		if err != nil {
-			t.Fatalf("OpenSegment: %v", err)
-		}
-		s.MaxSegmentBytes = 4 << 10
-		s.CompactAfter = 3
-		return s
-	}},
+// openSeg opens a segment store with its thresholds shrunk, so sealing
+// and compaction actually happen inside the suite.
+func openSeg(t *testing.T, dir string) Storage {
+	s, err := OpenSegment(dir)
+	if err != nil {
+		t.Fatalf("OpenSegment: %v", err)
+	}
+	s.maxSegmentBytes = 4 << 10
+	s.compactAfter = 3
+	return s
 }
 
 func TestStorageConformance(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.kind, func(t *testing.T) {
-			t.Run("roundtrip", func(t *testing.T) { conformRoundtrip(t, b.open) })
-			t.Run("reopen", func(t *testing.T) { conformReopen(t, b.open) })
-			t.Run("torn-tail", func(t *testing.T) { conformTornTail(t, b.open) })
-			t.Run("delete-maxseq", func(t *testing.T) { conformDeleteMaxSeq(t, b.open) })
-			t.Run("invalid-id", func(t *testing.T) { conformInvalidID(t, b.open) })
-			t.Run("cache", func(t *testing.T) { conformCache(t, b.open) })
-			t.Run("lease", func(t *testing.T) { conformLease(t, b.open) })
-			t.Run("lease-grace", func(t *testing.T) { conformLeaseGraceHolderTTL(t, b.open) })
-			t.Run("fencing", func(t *testing.T) { conformFencing(t, b.open) })
-			t.Run("concurrent", func(t *testing.T) { conformConcurrent(t, b.open) })
-		})
-	}
+	t.Run(KindSegment, func(t *testing.T) {
+		t.Run("roundtrip", func(t *testing.T) { conformRoundtrip(t, openSeg) })
+		t.Run("reopen", func(t *testing.T) { conformReopen(t, openSeg) })
+		t.Run("torn-tail", func(t *testing.T) { conformTornTail(t, openSeg) })
+		t.Run("delete-maxseq", func(t *testing.T) { conformDeleteMaxSeq(t, openSeg) })
+		t.Run("invalid-id", func(t *testing.T) { conformInvalidID(t, openSeg) })
+		t.Run("cache", func(t *testing.T) { conformCache(t, openSeg) })
+		t.Run("lease", func(t *testing.T) { conformLease(t, openSeg) })
+		t.Run("lease-grace", func(t *testing.T) { conformLeaseGraceHolderTTL(t, openSeg) })
+		t.Run("fencing", func(t *testing.T) { conformFencing(t, openSeg) })
+		t.Run("concurrent", func(t *testing.T) { conformConcurrent(t, openSeg) })
+	})
 }
 
 // fill writes a canonical little population of runs: run-1 finished
@@ -160,7 +144,7 @@ func conformTornTail(t *testing.T, open func(*testing.T, string) Storage) {
 	torn := 0
 	for _, ent := range ents {
 		name := ent.Name()
-		if !strings.HasSuffix(name, ".jsonl") && !strings.HasSuffix(name, ".log") {
+		if !strings.HasSuffix(name, ".log") {
 			continue
 		}
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -419,9 +403,7 @@ func conformFencing(t *testing.T, open func(*testing.T, string) Storage) {
 	fenced("End", old.End("run-1", "done", ""))
 	fenced("Delete", old.Delete("run-1"))
 	fenced("CachePut", old.CachePut("00ff", []byte(`{"x":1}`)))
-	if seg, isSeg := old.(*SegmentStore); isSeg {
-		fenced("Compact", seg.Compact())
-	}
+	fenced("compact", old.(*SegmentStore).compact())
 
 	// Reads are never fenced: the deposed process may still inspect.
 	if _, err := old.Load(); err != nil {
@@ -490,6 +472,18 @@ func conformConcurrent(t *testing.T, open func(*testing.T, string) Storage) {
 			}
 		}(w)
 	}
+	// Re-arming the fence drops the writer state between appends; the
+	// writers must reopen the active segment and lose nothing.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := s.Fence("", 0); err != nil {
+				t.Errorf("Fence: %v", err)
+				return
+			}
+		}
+	}()
 	// Concurrent readers and cache traffic while the writers append.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -524,24 +518,21 @@ func conformConcurrent(t *testing.T, open func(*testing.T, string) Storage) {
 	}
 }
 
-// TestOpenBackend covers the -store selector, including the error for
-// an unknown kind.
+// TestOpenBackend covers the backend selector: the segment store
+// opens, and every other kind, the retired JSONL layout included, is
+// refused.
 func TestOpenBackend(t *testing.T) {
-	for _, kind := range []string{"", KindJSONL, KindSegment} {
-		s, err := OpenBackend(kind, t.TempDir())
-		if err != nil {
-			t.Fatalf("OpenBackend(%q): %v", kind, err)
-		}
-		want := kind
-		if want == "" {
-			want = KindJSONL
-		}
-		if s.Kind() != want {
-			t.Fatalf("OpenBackend(%q).Kind() = %q", kind, s.Kind())
-		}
-		s.Close()
+	s, err := OpenBackend(KindSegment, t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenBackend(%q): %v", KindSegment, err)
 	}
-	if _, err := OpenBackend("bogus", t.TempDir()); err == nil {
-		t.Fatal("OpenBackend(bogus): no error")
+	if _, ok := s.(*SegmentStore); !ok {
+		t.Fatalf("OpenBackend(%q) = %T", KindSegment, s)
+	}
+	s.Close()
+	for _, kind := range []string{"", "jsonl", "bogus"} {
+		if _, err := OpenBackend(kind, t.TempDir()); err == nil {
+			t.Errorf("OpenBackend(%q): no error", kind)
+		}
 	}
 }

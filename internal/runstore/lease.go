@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Coordinator lease layer, shared by both backends.
+// Coordinator lease layer.
 //
 // HA failover (internal/ha) elects the coordinator through a single
 // lease record in the store: `coordlease.json`, holding the current
@@ -140,8 +140,8 @@ func (l *leaseFS) Fence(owner string, term int64) error {
 }
 
 // checkFence validates the armed fencing token against the on-disk
-// lease.  Called by every backend mutation at its commit point, while
-// holding the backend's own lock — so a takeover observed here is
+// lease.  Called by every store mutation at its commit point, while
+// holding the store's own lock — so a takeover observed here is
 // observed before the commit, not after.  An unreadable lease fails
 // closed (the error is returned, the mutation does not proceed); an
 // absent or torn lease blocks nobody, matching readLease.

@@ -20,7 +20,7 @@ import (
 // debris, the next claims the term.
 func TestLeaseClaimDebrisSweep(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLeaseClaimDebrisSweep(t *testing.T) {
 // blocking, and once the rival's rename lands, its lease wins.
 func TestLeaseClaimFreshRivalWins(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLeaseClaimFreshRivalWins(t *testing.T) {
 // moment a rival record appears.
 func TestFenceWithoutLease(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func (n *nfsIO) OpenExclusive(path string) (*os.File, error) {
 // forever after; with it the exposure is bounded by the cache delay.
 func TestFencingDelayedLeaseVisibility(t *testing.T) {
 	dir := t.TempDir()
-	leader, err := Open(dir)
+	leader, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFencingDelayedLeaseVisibility(t *testing.T) {
 
 	// A rival on the same directory (healthy visibility) waits out
 	// expiry + grace and claims the next term.
-	rival, err := Open(dir)
+	rival, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,12 @@ func TestFencingDelayedLeaseVisibility(t *testing.T) {
 // process even though the terms are equal.
 func TestFencingSameTermDoubleClaim(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir)
+	a, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Open(dir)
+	b, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,8 @@ func TestFencingBrokenExclusiveRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
 			dir := t.TempDir()
-			open := func(id string) *Store {
-				s, err := Open(dir)
+			open := func(id string) *SegmentStore {
+				s, err := OpenSegment(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func TestFencingBrokenExclusiveRace(t *testing.T) {
 				t.Fatalf("lease after race: ok=%v err=%v", ok, err)
 			}
 			writers := 0
-			for id, s := range map[string]*Store{"node-a": a, "node-b": b} {
+			for id, s := range map[string]*SegmentStore{"node-a": a, "node-b": b} {
 				believed := (id == "node-a" && okA) || (id == "node-b" && okB)
 				if !believed {
 					continue

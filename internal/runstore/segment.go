@@ -12,50 +12,66 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
-// SegmentStore is the segmented object-store Storage backend: all runs
-// share a sequence of append-only log segments instead of one file per
-// run.  The layout is three kinds of file under one directory:
+// SegmentStore is the run store: all runs share a sequence of
+// append-only log segments under one directory.  The layout is three
+// kinds of file:
 //
 //	MANIFEST.json      {"sealed":["compact-00000007.log","seg-00000008.log"],"seq":9}
 //	seg-N.log          record lines; exactly one is active, the rest sealed
 //	compact-N.log      a folded rewrite of older sealed segments
 //
-// Every record line carries the run ID (unlike the per-run JSONL
-// layout, where the file name scopes the records), so a segment is
+// Every record line carries the run ID, so a segment is
 // self-describing.  Appends go to the single active segment and fsync
-// before returning; when it grows past MaxSegmentBytes it is sealed —
-// appended to the manifest's `sealed` list, which is committed via
-// temp+fsync+rename — and a fresh active segment starts.  Sealed
-// segments are immutable forever after.
+// before returning.  An append that finds the active segment full
+// (maxSegmentBytes) first seals it — appends it to the manifest's
+// `sealed` list, committed via temp+fsync+rename — and starts a fresh
+// active segment.  Sealed segments are immutable forever after.
 //
 // Replay folds the manifest's sealed segments in list order, then the
-// active segment.  List order is authoritative, not segment numbers: a
-// compacted segment carries a newer sequence number than the segments
-// it folded, yet must replay before any segment written after them.
+// segments the manifest does not name, in sequence order.  List order
+// is authoritative, not segment numbers: a compacted segment carries a
+// newer sequence number than the segments it folded, yet must replay
+// before any segment written after them.
+//
+// Opening a store only reads, and Load reads the manifest and the
+// directory afresh on every call, so a handle opened beside a live
+// writer (an HA standby) neither races that writer nor replays an old
+// view of its files.  The repairs a crash can leave for the writer run
+// at a handle's first mutation, and again at the first mutation after
+// Fence, working from what is on disk then (see writableLocked).
 //
 // Compaction is crash-safe by construction: fold the sealed segments
 // into a new compact-N.log (invisible until referenced), fsync it,
 // commit a manifest naming it, and only then delete the replaced files.
 // A crash leaves either the old manifest (the compact file is an orphan,
-// removed on open) or the new one (the old segments are orphans, ditto).
-// Run deletion appends a tombstone record ({"rec":"delete"}); compaction
-// is what physically reclaims tombstoned runs.
+// removed by the next writer's repairs) or the new one (the old
+// segments are left loose; see compactLocked).  Run deletion appends a
+// tombstone record ({"rec":"delete"}); compaction is what physically
+// reclaims tombstoned runs.
 type SegmentStore struct {
 	cacheFS
 	leaseFS
 
 	dir string
 
-	// MaxSegmentBytes seals the active segment once it reaches this
-	// size.  Set before first use; defaults to 8 MiB.
-	MaxSegmentBytes int64
-	// CompactAfter folds sealed segments into one when their count
-	// reaches it.  Set before first use; defaults to 6, 0 disables
-	// auto-compaction.
-	CompactAfter int
+	// maxSegmentBytes seals the active segment once it reaches this
+	// size; compactAfter folds sealed segments into one when their
+	// count reaches it (0 disables auto-compaction).  Only tests change
+	// the defaults.
+	maxSegmentBytes int64
+	compactAfter    int
 
+	// Fault, when set, injects faults at the append boundary
+	// (faultinject.PointStoreAppend, key "<id>/<rec>"), before the
+	// record is written.  Set it before handing the store to a server.
+	Fault *faultinject.Injector
+
+	// The writer state: man and the active segment are this handle's
+	// view while it writes, valid only while active is non-nil.
 	mu         sync.Mutex
 	man        manifest
 	active     *os.File
@@ -78,7 +94,9 @@ type manifest struct {
 	Seq int `json:"seq"`
 }
 
-// OpenSegment creates (if needed) and recovers a segment store at dir.
+// OpenSegment opens the segment store at dir, creating the directory
+// if needed.  It writes no store file.  It refuses a directory holding
+// run files of the per-run JSONL layout, which is no longer read.
 func OpenSegment(dir string) (*SegmentStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("runstore: empty directory")
@@ -90,11 +108,17 @@ func OpenSegment(dir string) (*SegmentStore, error) {
 		cacheFS:         cacheFS{root: dir},
 		leaseFS:         leaseFS{root: dir},
 		dir:             dir,
-		MaxSegmentBytes: defaultSegBytes,
-		CompactAfter:    defaultCompactAfter,
+		maxSegmentBytes: defaultSegBytes,
+		compactAfter:    defaultCompactAfter,
 	}
-	if err := s.recover(); err != nil {
+	v, err := s.scan()
+	if err != nil {
 		return nil, err
+	}
+	if v.jsonl != "" {
+		return nil, fmt.Errorf("runstore: %s holds %s: the per-run JSONL layout is no longer read; "+
+			"move its *.jsonl files out or use a new directory (%s/ is kept, both layouts share it)",
+			dir, v.jsonl, filepath.Join(dir, cacheDir))
 	}
 	if err := s.Ping(); err != nil {
 		return nil, err
@@ -102,31 +126,38 @@ func OpenSegment(dir string) (*SegmentStore, error) {
 	return s, nil
 }
 
-// Kind names the backend.
-func (s *SegmentStore) Kind() string { return KindSegment }
+// Ping probes that the store directory accepts writes (backs GET
+// /readyz).
+func (s *SegmentStore) Ping() error {
+	f, err := os.CreateTemp(s.dir, ".probe-*")
+	if err != nil {
+		return fmt.Errorf("runstore: %s not writable: %w", s.dir, err)
+	}
+	f.Close()
+	os.Remove(f.Name())
+	return nil
+}
 
-// Dir returns the store directory.
-func (s *SegmentStore) Dir() string { return s.dir }
-
-// Ping probes that the store is writable (backs GET /readyz).
-func (s *SegmentStore) Ping() error { return pingDir(s.dir) }
-
-// Close seals off the active segment's file handle.  Records already
+// Close releases the active segment's file handle.  Records already
 // appended stay durable; a reopened store resumes appending to the same
 // segment.
 func (s *SegmentStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.active != nil {
-		err := s.active.Close()
-		s.active = nil
+	return s.dropWriterLocked()
+}
+
+// Fence arms the fencing token (see Storage.Fence) and drops the
+// handle's writer state, so the first mutation under the new token
+// repairs and reopens the directory as it is then.
+func (s *SegmentStore) Fence(owner string, term int64) error {
+	if err := s.leaseFS.Fence(owner, term); err != nil {
 		return err
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropWriterLocked()
 }
 
 // segSeq extracts the sequence number from "seg-N.log"/"compact-N.log"
@@ -146,92 +177,130 @@ func segSeq(name string) int {
 	return -1
 }
 
-// recover rebuilds in-memory state from the manifest and directory
-// listing: orphaned compaction output is removed, unmanifested sealed
-// segments are re-adopted, and the newest unmanifested segment becomes
-// the active one.
-func (s *SegmentStore) recover() error {
+// view is one read of the manifest and the directory listing.
+type view struct {
+	man     manifest
+	loose   []string // seg-*.log files the manifest does not name, in sequence order
+	orphans []string // compact-*.log files the manifest does not name
+	jsonl   string   // a run file of the per-run JSONL layout, if any
+}
+
+// scan reads the manifest, then lists the directory.  In that order a
+// segment sealed or started by another handle in between still shows
+// up, as loose.
+func (s *SegmentStore) scan() (view, error) {
+	var v view
 	data, err := os.ReadFile(filepath.Join(s.dir, manifestFile))
 	switch {
 	case err == nil:
-		if err := json.Unmarshal(data, &s.man); err != nil {
+		if err := json.Unmarshal(data, &v.man); err != nil {
 			// The manifest is committed atomically, so a torn one is real
 			// corruption — refuse to guess at replay order.
-			return fmt.Errorf("runstore: corrupt manifest %s: %w", manifestFile, err)
+			return v, fmt.Errorf("runstore: corrupt manifest %s: %w", manifestFile, err)
 		}
 	case os.IsNotExist(err):
 		// Fresh store.
 	default:
-		return fmt.Errorf("runstore: read manifest: %w", err)
+		return v, fmt.Errorf("runstore: read manifest: %w", err)
 	}
 
-	sealed := make(map[string]bool, len(s.man.Sealed))
-	for _, name := range s.man.Sealed {
+	sealed := make(map[string]bool, len(v.man.Sealed))
+	for _, name := range v.man.Sealed {
 		sealed[name] = true
-		if n := segSeq(name); n > s.man.Seq {
-			s.man.Seq = n
-		}
+		v.man.Seq = max(v.man.Seq, segSeq(name))
 	}
-
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("runstore: read %s: %w", s.dir, err)
+		return v, fmt.Errorf("runstore: read %s: %w", s.dir, err)
 	}
-	var loose []string // seg-*.log present but not in the manifest
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || sealed[name] {
-			continue
-		}
 		switch {
-		case strings.HasPrefix(name, "compact-") && strings.HasSuffix(name, ".log"):
+		case ent.IsDir() || sealed[name]:
+		case strings.HasSuffix(name, ".jsonl"):
+			v.jsonl = name
+		case segSeq(name) < 0:
+		case strings.HasPrefix(name, "compact-"):
 			// Output of a compaction whose manifest never committed.
-			os.Remove(filepath.Join(s.dir, name))
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log") && segSeq(name) >= 0:
-			loose = append(loose, name)
-			if n := segSeq(name); n > s.man.Seq {
-				s.man.Seq = n
-			}
+			v.orphans = append(v.orphans, name)
+		default:
+			v.loose = append(v.loose, name)
+			v.man.Seq = max(v.man.Seq, segSeq(name))
 		}
 	}
-	sort.Slice(loose, func(i, j int) bool { return segSeq(loose[i]) < segSeq(loose[j]) })
+	sort.Slice(v.loose, func(i, j int) bool { return segSeq(v.loose[i]) < segSeq(v.loose[j]) })
+	return v, nil
+}
 
-	// The newest loose segment resumes as active; any older ones are a
-	// crash between sealing and the manifest commit — adopt them in
-	// sequence order.
-	if len(loose) > 1 {
-		s.man.Sealed = append(s.man.Sealed, loose[:len(loose)-1]...)
-		if err := s.writeManifestLocked(); err != nil {
+// writableLocked admits a mutation: the handle is open and the fence
+// holds, checked first so that a fenced handle repairs nothing either.
+// At the handle's first mutation, and the first after Fence, it readies
+// the writer from what is on disk now, making the repairs a crash can
+// leave: orphaned compaction output is removed, loose segments other
+// than the newest are adopted into the manifest in sequence order (a
+// crash between sealing and the manifest commit), and the newest one is
+// reopened as the active segment with any torn tail trimmed.
+func (s *SegmentStore) writableLocked() error {
+	if s.closed {
+		return fmt.Errorf("runstore: store closed")
+	}
+	if err := s.checkFence(); err != nil {
+		return err
+	}
+	if s.active != nil {
+		return nil
+	}
+	v, err := s.scan()
+	if err != nil {
+		return err
+	}
+	for _, name := range v.orphans {
+		os.Remove(filepath.Join(s.dir, name))
+	}
+	s.man = v.man
+	if len(v.loose) == 0 {
+		return s.newActiveLocked()
+	}
+	last := len(v.loose) - 1
+	if last > 0 {
+		s.man.Sealed = append(s.man.Sealed, v.loose[:last]...)
+		if err := s.writeManifest(s.man); err != nil {
 			return err
 		}
 	}
-	if len(loose) > 0 {
-		name := loose[len(loose)-1]
-		path := filepath.Join(s.dir, name)
-		// Trim a torn tail — bytes past the last newline are a crash
-		// mid-append — so new records never concatenate onto a partial
-		// line.  (Replay would drop the merged garbage line, silently
-		// losing the first post-restart record.)
-		if data, err := os.ReadFile(path); err == nil {
-			if cut := bytes.LastIndexByte(data, '\n') + 1; cut < len(data) {
-				if err := os.Truncate(path, int64(cut)); err != nil {
-					return fmt.Errorf("runstore: trim torn segment tail: %w", err)
-				}
-			}
+	name := v.loose[last]
+	path := filepath.Join(s.dir, name)
+	// Trim a torn tail — bytes past the last newline are a crash
+	// mid-append — so new records never concatenate onto a partial
+	// line.  (Replay would drop the merged garbage line, silently
+	// losing the first post-restart record.)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("runstore: read active segment: %w", err)
+	}
+	size := int64(bytes.LastIndexByte(data, '\n') + 1)
+	if size < int64(len(data)) {
+		if err := os.Truncate(path, size); err != nil {
+			return fmt.Errorf("runstore: trim torn segment tail: %w", err)
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("runstore: reopen active segment: %w", err)
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("runstore: stat active segment: %w", err)
-		}
-		s.active, s.activeName, s.activeSize = f, name, info.Size()
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("runstore: reopen active segment: %w", err)
+	}
+	s.active, s.activeName, s.activeSize = f, name, size
+	return nil
+}
+
+// dropWriterLocked closes the active segment; the next mutation reopens
+// the store from disk.
+func (s *SegmentStore) dropWriterLocked() error {
+	if s.active == nil {
 		return nil
 	}
-	return s.newActiveLocked()
+	err := s.active.Close()
+	s.active = nil
+	return err
 }
 
 // newActiveLocked starts a fresh active segment.
@@ -247,18 +316,22 @@ func (s *SegmentStore) newActiveLocked() error {
 	return nil
 }
 
-// writeManifestLocked commits the manifest (temp + fsync + rename).
-func (s *SegmentStore) writeManifestLocked() error {
-	data, err := json.MarshalIndent(s.man, "", "  ")
+// writeManifest commits m as the manifest (temp + fsync + rename).
+func (s *SegmentStore) writeManifest(m manifest) error {
+	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runstore: marshal manifest: %w", err)
 	}
 	return commitFile(filepath.Join(s.dir, manifestFile), append(data, '\n'))
 }
 
-// appendRec durably appends one record to the active segment, sealing
-// and compacting as thresholds are crossed.
+// appendRec durably appends one record to the active segment, first
+// sealing (and compacting) if the segment is full.  A nil error means
+// the record is durable; any error means it was not written.
 func (s *SegmentStore) appendRec(rec Record) error {
+	if err := s.Fault.Fire(faultinject.PointStoreAppend, rec.ID+"/"+rec.Rec, 0); err != nil {
+		return err
+	}
 	if err := validateRunID(rec.ID); err != nil {
 		return err
 	}
@@ -270,61 +343,55 @@ func (s *SegmentStore) appendRec(rec Record) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("runstore: store closed")
-	}
-	if err := s.checkFence(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	if s.active == nil {
-		if err := s.newActiveLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := s.active.Write(line); err != nil {
-		return fmt.Errorf("runstore: append to %s: %w", s.activeName, err)
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("runstore: sync %s: %w", s.activeName, err)
-	}
-	s.activeSize += int64(len(line))
-	if s.activeSize >= s.MaxSegmentBytes {
+	if s.activeSize >= s.maxSegmentBytes {
 		if err := s.sealLocked(); err != nil {
 			return err
 		}
-		if s.CompactAfter > 0 && len(s.man.Sealed) >= s.CompactAfter {
+		if s.compactAfter > 0 && len(s.man.Sealed) >= s.compactAfter {
 			if err := s.compactLocked(); err != nil {
 				return err
 			}
 		}
 	}
+	_, err = s.active.Write(line)
+	if err == nil {
+		err = s.active.Sync()
+	}
+	if err != nil {
+		// Cut the record back out, and let the next mutation reopen the
+		// segment from disk (trimming what this cut could not).
+		s.active.Truncate(s.activeSize)
+		s.dropWriterLocked()
+		return fmt.Errorf("runstore: append to %s: %w", s.activeName, err)
+	}
+	s.activeSize += int64(len(line))
 	return nil
 }
 
 // sealLocked makes the active segment immutable and starts a new one.
+// On failure the writer state is dropped, so the next mutation repairs
+// from disk whatever part of the seal landed.
 func (s *SegmentStore) sealLocked() error {
-	if err := s.active.Close(); err != nil {
+	if err := s.dropWriterLocked(); err != nil {
 		return fmt.Errorf("runstore: seal %s: %w", s.activeName, err)
 	}
-	s.active = nil
 	s.man.Sealed = append(s.man.Sealed, s.activeName)
-	if err := s.writeManifestLocked(); err != nil {
+	if err := s.writeManifest(s.man); err != nil {
 		return err
 	}
 	return s.newActiveLocked()
 }
 
-// Compact folds every sealed segment — after first sealing the active
-// one if it holds records — into a single compact segment.  Exposed for
-// tests and offline maintenance; appendRec triggers it automatically
-// via CompactAfter.
-func (s *SegmentStore) Compact() error {
+// compact folds every sealed segment — after first sealing the active
+// one if it holds records — into a single compact segment.  appendRec
+// triggers it via compactAfter.
+func (s *SegmentStore) compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("runstore: store closed")
-	}
-	if err := s.checkFence(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
 	if s.activeSize > 0 {
@@ -381,16 +448,18 @@ func (s *SegmentStore) compactLocked() error {
 		os.Remove(filepath.Join(s.dir, name))
 		return err
 	}
-	old := s.man.Sealed
-	s.man = manifest{Sealed: []string{name}, Seq: seq}
-	if err := s.writeManifestLocked(); err != nil {
+	next := manifest{Sealed: []string{name}, Seq: seq}
+	if err := s.writeManifest(next); err != nil {
+		os.Remove(filepath.Join(s.dir, name))
 		return err
 	}
+	old := s.man.Sealed
+	s.man = next
 	// The new manifest is the commit point; the replaced segments are
-	// now unreferenced and their removal is free to fail (recover
-	// treats them as loose only if named seg-*, and their sequence
-	// numbers are below the compact segment's — worst case they are
-	// re-adopted and re-compacted, which is idempotent).
+	// now unreferenced.  Segments left by a failed removal or a crash
+	// here are loose to the next writer, which adopts and replays them
+	// again after the compact segment: specs, checkpoints and end
+	// records fold to the same state, but assign records repeat.
 	for _, n := range old {
 		os.Remove(filepath.Join(s.dir, n))
 	}
@@ -455,8 +524,10 @@ func (s *SegmentStore) Delete(id string) error {
 	return s.appendRec(Record{Rec: "delete", ID: id, Time: time.Now()})
 }
 
-// CachePut shadows the embedded cacheFS method with a fence check; see
-// (*Store).CachePut.
+// CachePut shadows the embedded cacheFS method with a fence check: a
+// deposed coordinator must not mutate the shared cache either.  (Reads
+// and CacheSweep stay unfenced — entries are immutable and content-
+// addressed, so removing one can at worst cost the rival a re-compute.)
 func (s *SegmentStore) CachePut(key string, data []byte) error {
 	if err := s.checkFence(); err != nil {
 		return err
@@ -464,29 +535,39 @@ func (s *SegmentStore) CachePut(key string, data []byte) error {
 	return s.cacheFS.CachePut(key, data)
 }
 
-// Load replays the manifest's sealed segments in order, then the active
-// segment, folding records into per-run state.  It holds the store lock
-// for the duration so the segment set cannot shift mid-replay; Load is
-// a startup/admin operation, not a hot path.
+// Load replays every run, in run-ID order (run-2 before run-10).  Each
+// call reads the manifest and the directory afresh, so it sees every
+// record any handle on the directory has committed.  A segment that
+// vanishes mid-replay was folded by a compaction another handle
+// committed meanwhile, so Load replays the new manifest; a segment
+// still missing on the third attempt is an error, not a gap.
 func (s *SegmentStore) Load() ([]*RunRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fold := newRecordFold()
-	names := append([]string{}, s.man.Sealed...)
-	if s.activeName != "" {
-		names = append(names, s.activeName)
-	}
-	for _, name := range names {
-		if err := foldFile(filepath.Join(s.dir, name), fold); err != nil {
-			return nil, fmt.Errorf("runstore: replay %s: %w", name, err)
+	for attempt := 1; ; attempt++ {
+		v, err := s.scan()
+		if err != nil {
+			return nil, err
 		}
+		fold := newRecordFold()
+		for _, name := range append(v.man.Sealed, v.loose...) {
+			if err = foldFile(filepath.Join(s.dir, name), fold); err != nil {
+				break
+			}
+		}
+		if os.IsNotExist(err) && attempt < 3 {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runstore: replay: %w", err)
+		}
+		runs := make([]*RunRecord, 0, len(fold.order))
+		for _, id := range fold.order {
+			runs = append(runs, fold.runs[id])
+		}
+		sortRuns(runs)
+		return runs, nil
 	}
-	runs := make([]*RunRecord, 0, len(fold.order))
-	for _, id := range fold.order {
-		runs = append(runs, fold.runs[id])
-	}
-	sortRuns(runs)
-	return runs, nil
 }
 
 // MaxSeq reports the highest live "run-N" identifier.
@@ -568,20 +649,24 @@ func (f *recordFold) apply(rec Record) {
 	}
 }
 
-// foldFile replays one segment file into the fold.  Unparseable lines —
-// the torn tail of a crashed write — are skipped, same as the JSONL
-// backend: the fsynced prefix is always a consistent state.
+// foldFile replays one segment file into the fold.  A record counts once
+// its newline is written: an unterminated final line is a torn write or
+// an append still in flight, and is skipped, as is any unparseable
+// line.  The fsynced prefix is always a consistent state.
 func foldFile(path string, fold *recordFold) error {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results can be large
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil
+	})
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -10,28 +10,18 @@ import (
 	"time"
 )
 
-// Backend kinds selectable via `wmmd -store`.
-const (
-	KindJSONL   = "jsonl"   // one append-only <id>.jsonl file per run
-	KindSegment = "segment" // shared immutable segments + manifest
-)
+// KindSegment names the segment store, the only Storage backend.
+const KindSegment = "segment"
 
-// Storage is the persistence contract the coordinator runs on.  Two
-// dependency-free backends implement it: the original per-run JSONL
-// directory (*Store) and the segmented object store (*SegmentStore).
-// All methods must be safe for concurrent use, every mutation must be
-// durable when it returns, and replay must tolerate a torn tail — the
-// conformance suite in conformance_test.go holds both backends to the
-// same observable behaviour.
+// Storage is the persistence contract the coordinator runs on, and
+// *SegmentStore implements it.  All methods must be safe for concurrent
+// use, every mutation must be durable when it returns, and replay must
+// tolerate a torn tail — conformance_test.go pins the observable
+// behaviour.
 type Storage interface {
-	// Kind names the backend ("jsonl" or "segment").
-	Kind() string
-	// Dir returns the backing directory.
-	Dir() string
 	// Ping probes that the store is writable (backs GET /readyz).
 	Ping() error
-	// Close releases backend resources.  The JSONL backend holds none;
-	// the segment backend closes its active segment.
+	// Close releases the handle's open segment.
 	Close() error
 
 	// Begin records a run's submission: its identity and spec.
@@ -69,22 +59,13 @@ type Storage interface {
 	Fence(owner string, term int64) error
 }
 
-var (
-	_ Storage = (*Store)(nil)
-	_ Storage = (*SegmentStore)(nil)
-)
-
-// OpenBackend opens the named storage backend rooted at dir.  An empty
-// kind selects the JSONL layout, the historical default.
+// OpenBackend opens the named storage backend rooted at dir.
+// KindSegment is the only kind.
 func OpenBackend(kind, dir string) (Storage, error) {
-	switch kind {
-	case "", KindJSONL:
-		return Open(dir)
-	case KindSegment:
-		return OpenSegment(dir)
-	default:
-		return nil, fmt.Errorf("runstore: unknown store backend %q (want %q or %q)", kind, KindJSONL, KindSegment)
+	if kind != KindSegment {
+		return nil, fmt.Errorf("runstore: unknown store backend %q (want %q)", kind, KindSegment)
 	}
+	return OpenSegment(dir)
 }
 
 // validateRunID rejects identifiers that would escape the store
@@ -93,18 +74,6 @@ func validateRunID(id string) error {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
 		return fmt.Errorf("runstore: invalid run id %q", id)
 	}
-	return nil
-}
-
-// pingDir probes that dir accepts writes.
-func pingDir(dir string) error {
-	f, err := os.CreateTemp(dir, ".probe-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %s not writable: %w", dir, err)
-	}
-	name := f.Name()
-	f.Close()
-	os.Remove(name)
 	return nil
 }
 

@@ -1,17 +1,20 @@
-// Package runstore persists experiment runs as append-only JSON so that
-// a wmmd restart — graceful or a crash — does not throw away hours of
-// sweep progress.  Each run is one `<id>.jsonl` file under the store
-// directory, written as a sequence of self-describing records:
+// Package runstore persists experiment runs so that a wmmd restart —
+// graceful or a crash — does not throw away hours of sweep progress.
+// Every run is a sequence of self-describing record lines, each naming
+// its run, appended to log segments that all runs share (SegmentStore
+// holds the file layout):
 //
-//	{"rec":"spec", "id":"run-1", "time":..., "spec":{...}}        submission
-//	{"rec":"experiment", "time":..., "name":"fig5", "result":{...}}  checkpoint
-//	{"rec":"end", "time":..., "state":"done", "error":""}         terminal state
+//	{"rec":"spec", "id":"run-1", "time":..., "spec":{...}}                     submission
+//	{"rec":"experiment", "id":"run-1", "time":..., "name":"fig5", "result":{...}}  checkpoint
+//	{"rec":"assign", "id":"run-1", "time":..., "name":"fig5", "worker":"w1"}     dispatch audit
+//	{"rec":"end", "id":"run-1", "time":..., "state":"done", "error":""}          terminal state
+//	{"rec":"delete", "id":"run-1", "time":...}                                  tombstone
 //
 // Every append is flushed and fsynced before it returns, so a record is
-// durable the moment the caller proceeds.  A run whose file has a spec
-// record but no end record is *interrupted*: on startup the server
-// replays the store, restores finished runs as queryable history, and
-// resumes interrupted runs from their last checkpointed experiment.
+// durable the moment the caller proceeds.  A run with a spec record but
+// no end record is *interrupted*: on startup the server replays the
+// store, restores finished runs as queryable history, and resumes
+// interrupted runs from their last checkpointed experiment.
 //
 // The store knows nothing about the engine's types: specs and results
 // cross this boundary as raw JSON, which keeps the dependency arrow
@@ -23,23 +26,13 @@
 package runstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
-
-	"repro/internal/faultinject"
 )
 
 // Record is one on-disk line.
 type Record struct {
-	Rec    string          `json:"rec"` // "spec" | "experiment" | "assign" | "end"
+	Rec    string          `json:"rec"` // "spec" | "experiment" | "assign" | "end" | "delete"
 	ID     string          `json:"id,omitempty"`
 	Time   time.Time       `json:"time"`
 	Spec   json.RawMessage `json:"spec,omitempty"`   // on "spec"
@@ -92,249 +85,4 @@ func (r *RunRecord) Experiment(name string) json.RawMessage {
 		}
 	}
 	return nil
-}
-
-// Store is a directory of per-run append-only record files — the JSONL
-// Storage backend.  All methods are safe for concurrent use.
-type Store struct {
-	cacheFS
-	leaseFS
-
-	dir string
-
-	mu sync.Mutex
-
-	// Fault, when set, injects faults at the append boundary
-	// (faultinject.PointStoreAppend).  Set it before handing the store
-	// to a server.
-	Fault *faultinject.Injector
-}
-
-// Open creates (if needed) and probes the store directory.  It fails
-// fast and clearly if the directory cannot be created or written — the
-// startup-time check behind wmmd's -data flag and /readyz.
-func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("runstore: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runstore: create %s: %w", dir, err)
-	}
-	s := &Store{dir: dir, cacheFS: cacheFS{root: dir}, leaseFS: leaseFS{root: dir}}
-	if err := s.Ping(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Kind names the backend.
-func (s *Store) Kind() string { return KindJSONL }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Ping probes that the store is writable (backs GET /readyz).
-func (s *Store) Ping() error { return pingDir(s.dir) }
-
-// Close releases backend resources; the JSONL layout holds none.
-func (s *Store) Close() error { return nil }
-
-// path returns the record file for a run, rejecting IDs that would
-// escape the store directory.
-func (s *Store) path(id string) (string, error) {
-	if err := validateRunID(id); err != nil {
-		return "", err
-	}
-	return filepath.Join(s.dir, id+".jsonl"), nil
-}
-
-// append durably adds one record to the run's file.
-func (s *Store) append(id string, rec Record) error {
-	if err := s.Fault.Fire(faultinject.PointStoreAppend, id+"/"+rec.Rec, 0); err != nil {
-		return err
-	}
-	path, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: marshal %s record: %w", rec.Rec, err)
-	}
-	line = append(line, '\n')
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkFence(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Write(line); err != nil {
-		return fmt.Errorf("runstore: append to %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("runstore: sync %s: %w", path, err)
-	}
-	return nil
-}
-
-// Begin records a run's submission: its identity and spec.
-func (s *Store) Begin(id string, spec json.RawMessage, at time.Time) error {
-	return s.append(id, Record{Rec: "spec", ID: id, Time: at, Spec: spec})
-}
-
-// Checkpoint records one completed experiment.  Re-checkpointing the
-// same experiment (a resumed attempt) appends a newer record; replay
-// keeps the last one.
-func (s *Store) Checkpoint(id, experiment string, result json.RawMessage) error {
-	return s.append(id, Record{Rec: "experiment", Time: time.Now(), Name: experiment, Result: result})
-}
-
-// Assign records the dispatch of one experiment job to a worker under
-// a lease.  Purely an audit trail: replay surfaces assignments but
-// resume never depends on them (a lost assignment's experiment just
-// re-executes from its spec).
-func (s *Store) Assign(id, experiment, worker string) error {
-	return s.append(id, Record{Rec: "assign", Time: time.Now(), Name: experiment, Worker: worker})
-}
-
-// End records a run's terminal state.  A run whose file never receives
-// an end record is treated as interrupted and resumed on replay.
-func (s *Store) End(id, state, errMsg string) error {
-	return s.append(id, Record{Rec: "end", Time: time.Now(), State: state, Error: errMsg})
-}
-
-// Delete removes a run's file (DELETE on a finished run, retention GC).
-func (s *Store) Delete(id string) error {
-	path, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkFence(); err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("runstore: delete %s: %w", path, err)
-	}
-	return nil
-}
-
-// CachePut shadows the embedded cacheFS method with a fence check: a
-// deposed coordinator must not mutate the shared cache either.  (Reads
-// and CacheSweep stay unfenced — entries are immutable and content-
-// addressed, so removing one can at worst cost the rival a re-compute.)
-func (s *Store) CachePut(key string, data []byte) error {
-	if err := s.checkFence(); err != nil {
-		return err
-	}
-	return s.cacheFS.CachePut(key, data)
-}
-
-// Load replays every run file in the store, in run-ID order (run-2
-// before run-10).  Unparseable records — the torn tail of a crashed
-// write — are skipped; files without a spec record are ignored entirely.
-func (s *Store) Load() ([]*RunRecord, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: read %s: %w", s.dir, err)
-	}
-	var runs []*RunRecord
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		rec, err := s.loadOne(filepath.Join(s.dir, name))
-		if err != nil || rec == nil {
-			continue
-		}
-		runs = append(runs, rec)
-	}
-	sortRuns(runs)
-	return runs, nil
-}
-
-// loadOne folds one record file into a RunRecord (nil if it holds no
-// spec record).
-func (s *Store) loadOne(path string) (*RunRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var run *RunRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results can be large
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn write; the durable prefix stands
-		}
-		switch rec.Rec {
-		case "spec":
-			if run == nil {
-				run = &RunRecord{ID: rec.ID, Started: rec.Time, Spec: rec.Spec}
-			}
-		case "experiment":
-			if run == nil || rec.Name == "" {
-				continue
-			}
-			replaced := false
-			for i := range run.Experiments {
-				if run.Experiments[i].Name == rec.Name {
-					run.Experiments[i].Result = rec.Result
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				run.Experiments = append(run.Experiments, ExperimentRecord{Name: rec.Name, Result: rec.Result})
-			}
-		case "assign":
-			if run == nil || rec.Name == "" {
-				continue
-			}
-			run.Assignments = append(run.Assignments, AssignRecord{Name: rec.Name, Worker: rec.Worker, Time: rec.Time})
-		case "end":
-			if run != nil {
-				run.EndState = rec.State
-				run.EndError = rec.Error
-				run.Finished = rec.Time
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return run, nil
-}
-
-// MaxSeq scans the store for the highest "run-N" identifier, so a
-// restarted server continues the sequence instead of reusing IDs.
-func (s *Store) MaxSeq() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	max := 0
-	for _, ent := range entries {
-		name := strings.TrimSuffix(ent.Name(), ".jsonl")
-		if !strings.HasPrefix(name, "run-") {
-			continue
-		}
-		if n, err := strconv.Atoi(name[len("run-"):]); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestBeginCheckpointEndRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBeginCheckpointEndRoundTrip(t *testing.T) {
 }
 
 func TestInterruptedRunHasNoEndState(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestInterruptedRunHasNoEndState(t *testing.T) {
 // truncated garbage.  Replay must keep the durable prefix.
 func TestTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestTornTailTolerated(t *testing.T) {
 	if err := s.Checkpoint("run-1", "fig4", json.RawMessage(`{"ok":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "run-1.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, s.activeName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"rec":"experiment","name":"txt3","result":{"trunc`)
+	f.WriteString(`{"rec":"experiment","id":"run-1","name":"txt3","result":{"trunc`)
 	f.Close()
 
 	runs, err := s.Load()
@@ -112,7 +112,7 @@ func TestTornTailTolerated(t *testing.T) {
 }
 
 func TestRecheckpointKeepsLast(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRecheckpointKeepsLast(t *testing.T) {
 }
 
 func TestDeleteAndMaxSeq(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDeleteAndMaxSeq(t *testing.T) {
 }
 
 func TestInvalidRunIDRejected(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestInvalidRunIDRejected(t *testing.T) {
 }
 
 func TestFaultInjectionAtAppend(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,11 @@ func TestFaultInjectionAtAppend(t *testing.T) {
 	}
 	if err := s.Checkpoint("run-1", "fig4", json.RawMessage(`{}`)); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("injected append error lost: %v", err)
+	}
+	// The fault fires before the write: the failed checkpoint is not
+	// on disk.
+	if runs, err := s.Load(); err != nil || len(runs) != 1 || runs[0].Experiment("fig4") != nil {
+		t.Errorf("after the injected failure: runs %+v err %v, want run-1 without fig4", runs, err)
 	}
 	// The rule is exhausted; the retryed checkpoint lands.
 	if err := s.Checkpoint("run-1", "fig4", json.RawMessage(`{}`)); err != nil {
@@ -202,7 +207,7 @@ func TestOpenRejectsUnwritableDir(t *testing.T) {
 	if err := os.Mkdir(ro, 0o555); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(ro); err == nil {
+	if _, err := OpenSegment(ro); err == nil {
 		t.Error("read-only directory accepted")
 	}
 }
@@ -212,7 +217,7 @@ func TestOpenRejectsUnwritableDir(t *testing.T) {
 // the run's Assignments in append order (re-queued jobs appear again),
 // without disturbing checkpoint-based resume.
 func TestAssignRecords(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenSegment(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ RUN_REF=$("$DATA/wmmctl" -server "http://$ADDR_REF" submit "$SPEC")
 # --- HA pair over one shared segment store, plus two workers. --------
 # -max-batch 1 splits the two jobs across the two workers, so fig4's
 # result uploads (and checkpoints) while ext-c11 is still in flight.
-HA_FLAGS="-data $DATA/runs -store segment -ha -ha-ttl 1s -local-slots -1 -lease-ttl 2s -max-batch 1"
+HA_FLAGS="-data $DATA/runs -ha -ha-ttl 1s -local-slots -1 -lease-ttl 2s -max-batch 1"
 "$DATA/wmmd" $HA_FLAGS -addr "$ADDR" -ha-id node-a -ops-addr "$OPS_A" >>"$LOG_A" 2>&1 &
 PID_A=$!
 PIDS+=($PID_A)

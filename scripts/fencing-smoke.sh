@@ -36,7 +36,7 @@ go build -o "$DATA/wmmctl" ./cmd/wmmctl
 # fig4 finishes and checkpoints quickly; ext-c11 keeps samples in
 # flight long enough for the kill loop to interrupt it repeatedly.
 SPEC='{"experiments":["fig4","ext-c11"],"short":true,"samples":2,"seed":3,"parallel":2}'
-HA_FLAGS="-data $DATA/runs -store segment -ha -ha-ttl 1s -local-slots 2 -max-batch 1"
+HA_FLAGS="-data $DATA/runs -ha -ha-ttl 1s -local-slots 2 -max-batch 1"
 
 # role OPS_ADDR — "leader", "standby", or "" when the process is down
 # or stopped (curl times out against a SIGSTOPped listener).

@@ -32,17 +32,18 @@ $CTL -timeout 30s ready || { echo "resume-smoke: wmmd never became ready" >&2; c
 RUN=$($CTL submit '{"experiments":["fig4","ext-c11"],"short":true,"samples":1,"seed":3,"parallel":2}')
 [ -n "$RUN" ] || { echo "resume-smoke: no run id" >&2; exit 1; }
 
-# Wait for the first durable checkpoint, then crash hard.
-FILE="$DATA/runs/$RUN.jsonl"
+# Wait for the run's first durable checkpoint in the store's log
+# segments, then crash hard.
+has_rec() { grep -qs "\"rec\":\"$1\",\"id\":\"$RUN\"" "$DATA"/runs/seg-*.log; }
 for _ in $(seq 1 300); do
-  if grep -q '"rec":"experiment"' "$FILE" 2>/dev/null; then break; fi
+  if has_rec experiment; then break; fi
   sleep 0.2
 done
-grep -q '"rec":"experiment"' "$FILE" || { echo "resume-smoke: no checkpoint before timeout" >&2; cat "$LOG" >&2; exit 1; }
+has_rec experiment || { echo "resume-smoke: no checkpoint before timeout" >&2; cat "$LOG" >&2; exit 1; }
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
-if grep -q '"rec":"end"' "$FILE"; then
+if has_rec end; then
   echo "resume-smoke: run finished before the kill; nothing to resume" >&2
   exit 1
 fi
