@@ -77,13 +77,14 @@
 // Finished runs are garbage-collected after -retain (0 keeps them
 // forever).  Every request is access-logged as one JSON line on stderr.
 //
-// With -data DIR, runs are durable: specs and completed experiment
-// results are checkpointed under DIR, and on startup finished runs are
-// restored into the catalogue while interrupted runs resume from their
-// last checkpoint.  Positional seed derivation makes a resumed run's
-// results identical to an uninterrupted one (see docs/ROBUSTNESS.md).
-// All runs share append-only log segments under DIR, folded by
-// crash-safe compaction.
+// With -data DIR, jobs of every kind are durable: runs, litmus
+// campaigns and optimizer jobs checkpoint each finished cell (an
+// experiment, a shard, a gate or score cell) under DIR, and on startup
+// finished jobs are restored into the catalogue while interrupted ones
+// resume from their checkpoints.  Positional seed derivation makes a
+// resumed job's results identical to an uninterrupted one (see
+// docs/ROBUSTNESS.md).  All jobs share append-only log segments under
+// DIR, folded by crash-safe compaction.
 //
 // Submissions are accounted to tenants (X-WMM-Tenant header or the
 // spec's "tenant" field; default "default").  The dispatcher dequeues
@@ -99,7 +100,7 @@
 // /healthz 200 and /readyz 503 {"role": "standby"} so operators can
 // distinguish a healthy standby from a dead process.  When the leader
 // dies, a standby takes over after the lease grace window, replays the
-// store, and resumes interrupted runs.  The lease term is enforced as a
+// store, and resumes interrupted jobs.  The lease term is enforced as a
 // fencing token by the store itself: once a rival claims, every store
 // write from the old leader is refused (so a stalled process cannot
 // corrupt the store), and a deposed or fenced leader exits with status
@@ -199,7 +200,7 @@ func main() {
 	workers := flag.Int("workers", 0, "sample worker-pool size (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 0, "default concurrent experiments per run (0 = worker count)")
 	retain := flag.Duration("retain", 24*time.Hour, "garbage-collect finished runs after this long (0 = keep forever)")
-	dataDir := flag.String("data", "", "directory for durable run state (empty = in-memory only)")
+	dataDir := flag.String("data", "", "directory for durable job state: runs, litmus campaigns and optimizer jobs (empty = in-memory only)")
 	sampleTimeout := flag.Duration("sample-timeout", 5*time.Minute, "per-sample watchdog deadline (0 = none)")
 	sampleRetries := flag.Int("sample-retries", 2, "retries per failed sample batch before the experiment degrades")
 	localSlots := flag.Int("local-slots", 0, "local executor slots pulling from the job queue (0 = -parallel default, -1 = coordinate only)")
@@ -350,9 +351,9 @@ func main() {
 		if store != nil {
 			resumed, restored, err := api.Restore()
 			if err != nil {
-				return nil, fmt.Errorf("restoring runs from %s: %w", *dataDir, err)
+				return nil, fmt.Errorf("restoring jobs from %s: %w", *dataDir, err)
 			}
-			log.Printf("wmmd: run store %s: %d finished runs restored, %d interrupted runs resumed",
+			log.Printf("wmmd: run store %s: %d finished jobs restored, %d interrupted jobs resumed",
 				*dataDir, restored, resumed)
 		}
 

@@ -63,8 +63,7 @@ type DispatchOptions struct {
 	TenantWeights map[string]int
 	// OnAssign, when non-nil, observes every remote assignment (a cell
 	// handed to a worker under a lease).  The server uses it to count
-	// assignments and to write assignment records for the jobs its run
-	// store persists.
+	// assignments and to write assignment records to its run store.
 	OnAssign func(runID, experiment, worker string)
 	// Cache, when non-nil, is consulted before every keyed cell is
 	// enqueued: an identical cell (by content hash — see ResultKey and
@@ -312,7 +311,7 @@ func (d *Dispatcher) TryAdmit(tenant string, n int) error {
 	return nil
 }
 
-// admitForce reserves capacity unconditionally (resumed runs must never
+// admitForce reserves capacity unconditionally (resumed jobs must never
 // be refused; a brief overshoot beats losing checkpointed work).  n may
 // be negative to release an over-reservation.
 func (d *Dispatcher) admitForce(tenant string, n int) {
@@ -332,13 +331,12 @@ func (d *Dispatcher) admitForce(tenant string, n int) {
 // Run fans one wave of a job's cells across the queue and returns their
 // results in cell order.  Each cell resolves exactly once — from a local
 // slot, a leased worker or the result cache — however often a lost
-// lease re-queues it; the first failure in cell order is returned
-// alongside the full result set.  reserved is how many cells
-// the caller already admitted via TryAdmit (0 for resumed jobs and later
-// waves, which bypass admission).  tenant names the fair-share queue the
-// cells join ("" = "default"), and at most parallel of them are in
-// flight across the whole fleet at once.
-func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, cells []Cell, parallel int, sink Sink, reserved int) ([]*Result, error) {
+// lease re-queues it.  reserved is how many cells the caller already
+// admitted via TryAdmit (0 for resumed jobs and later waves, which
+// bypass admission).  tenant names the fair-share queue the cells join
+// ("" = "default"), and at most parallel of them are in flight across
+// the whole fleet at once.
+func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, cells []Cell, parallel int, sink Sink, reserved int) []*Result {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -393,13 +391,7 @@ func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, cells []Cell
 		}
 	}
 	wg.Wait()
-
-	for _, r := range results {
-		if r.Err != "" {
-			return results, fmt.Errorf("%s: %s", r.Experiment, r.Err)
-		}
-	}
-	return results, nil
+	return results
 }
 
 // consultCache resolves a job against the result cache before it is

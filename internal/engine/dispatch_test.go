@@ -7,8 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -355,99 +353,83 @@ func TestDispatchShutdown(t *testing.T) {
 	}
 }
 
-// TestAssignRecordsOnlyForRuns: worker assignments are written to the
-// store only for jobs the store persists.  Remote litmus shards and
-// optimizer cells used to leave fsync'd assign records under their job
-// IDs that no DELETE or retention sweep ever removed; a remote run's
-// assignments must still replay from Load.
+// TestAssignRecordsOnlyForRuns: every job kind keeps its worker
+// assignments in the store with its other records, and drops them with
+// them.  While a remote campaign and optimizer job exist, the store
+// holds their spec, checkpoints and assignments; once they are deleted,
+// Load replays neither and a restarted server restores neither, while a
+// remote run's assignments still replay.  (The name predates campaigns
+// and optimizer jobs being persisted.)
 func TestAssignRecordsOnlyForRuns(t *testing.T) {
 	dir := t.TempDir()
-	store, err := runstore.OpenSegment(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	ts, _, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Store: store,
-		Dispatch: &DispatchOptions{LocalSlots: -1, LeaseTTL: time.Minute}})
+	ts, _, store := storeServer(t, dir, &DispatchOptions{LocalSlots: -1, LeaseTTL: time.Minute})
 	cl := testClient(ts)
 
-	// One in-test worker executes every leased cell through RunCell, as
-	// cmd/wmmworker does.
-	eng := New(Options{Workers: 2})
-	t.Cleanup(eng.Close)
-	ctx, cancel := context.WithCancel(context.Background())
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for ctx.Err() == nil {
-			grant, err := cl.Lease(ctx, "w1", 1)
-			if err != nil || len(grant.Jobs) == 0 {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			var up []client.JobResult
-			for _, job := range grant.Jobs {
-				res, err := eng.RunCell(ctx, job.Kind, job.Cell)
-				if err != nil {
-					t.Errorf("cell %s/%s: %v", job.RunID, job.Experiment, err)
-					continue
-				}
-				raw, _ := json.Marshal(res)
-				up = append(up, client.JobResult{RunID: job.RunID, Experiment: job.Experiment, Result: raw})
-			}
-			cl.UploadResults(ctx, grant.LeaseID, up)
-		}
-	}()
-	t.Cleanup(func() { cancel(); <-stopped })
-
+	// workCells is the worker: it executes each job's cells (3 shards,
+	// 6 optimizer cells, 1 experiment) through RunCell on "w1".
 	wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer wcancel()
 	lit := submitLitmus(t, ts, litmusSpecJSON)
+	workCells(t, ts, 3)
 	if st, err := cl.WaitLitmus(wctx, lit.ID, 20*time.Millisecond); err != nil || st.State != client.StateDone {
 		t.Fatalf("remote campaign: state %q err %v", st.State, err)
 	}
 	opt := submitOptimize(t, ts, optSpecJSON)
+	workCells(t, ts, 6)
 	if st, err := cl.WaitOptimize(wctx, opt.ID, 20*time.Millisecond); err != nil || st.State != client.StateDone {
 		t.Fatalf("remote optimize job: state %q err %v", st.State, err)
 	}
 	run := postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`)
+	workCells(t, ts, 1)
 	if st := waitState(t, ts, run, 2*time.Minute); st.State != StateDone {
 		t.Fatalf("remote run ended %s (err %q)", st.State, st.Error)
 	}
+	recs, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*runstore.RunRecord{}
+	for _, r := range recs {
+		byID[r.ID] = r
+	}
+	for id, cells := range map[string]int{lit.ID: 3, opt.ID: 6} {
+		r := byID[id]
+		switch {
+		case r == nil || len(r.Spec) == 0:
+			t.Errorf("store holds no spec record for %s", id)
+		case len(r.Experiments) != cells || r.EndState != StateDone:
+			t.Errorf("%s replays %d checkpoints and end state %q, want %d and done", id, len(r.Experiments), r.EndState, cells)
+		case len(r.Assignments) < cells:
+			t.Errorf("%s replays %d assignments, want one per remote cell (%d)", id, len(r.Assignments), cells)
+		}
+	}
+
 	if _, err := cl.CancelLitmus(wctx, lit.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.CancelOptimize(wctx, opt.ID); err != nil {
 		t.Fatal(err)
 	}
-
-	// Replay drops the records of a job that has no spec record, so
-	// read the raw segment lines.
-	segs, err := filepath.Glob(filepath.Join(dir, "*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segment files: %v (err %v)", segs, err)
-	}
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			var rec runstore.Record
-			if json.Unmarshal([]byte(line), &rec) == nil &&
-				(strings.HasPrefix(rec.ID, "litmus-") || strings.HasPrefix(rec.ID, "optimize-")) {
-				t.Errorf("%s holds a %q record for %s, a job the store never persists", filepath.Base(seg), rec.Rec, rec.ID)
-			}
-		}
-	}
-	recs, err := store.Load()
-	if err != nil {
+	if recs, err = store.Load(); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].ID != run {
-		t.Fatalf("store replays %d records, want only %s", len(recs), run)
+		t.Fatalf("store replays %d records after the deletes, want only %s", len(recs), run)
 	}
 	if as := recs[0].Assignments; len(as) != 1 || as[0].Name != "fig4" || as[0].Worker != "w1" {
 		t.Errorf("run assignments replayed as %+v, want fig4 on w1", as)
+	}
+
+	// A restarted server restores the run alone.
+	ts2, api2, _ := storeServer(t, dir, nil)
+	if resumed, restored, err := api2.Restore(); err != nil || resumed != 0 || restored != 1 {
+		t.Fatalf("Restore = %d resumed / %d restored (err %v), want 0/1", resumed, restored, err)
+	}
+	cl2 := testClient(ts2)
+	if _, err := cl2.Litmus(wctx, lit.ID, false); !client.IsNotFound(err) {
+		t.Errorf("deleted %s after a restart: %v, want not found", lit.ID, err)
+	}
+	if _, err := cl2.Optimize(wctx, opt.ID); !client.IsNotFound(err) {
+		t.Errorf("deleted %s after a restart: %v, want not found", opt.ID, err)
 	}
 }

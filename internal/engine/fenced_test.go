@@ -145,3 +145,44 @@ func TestFencedDeleteDegrades(t *testing.T) {
 		t.Fatal("fenced Delete not counted")
 	}
 }
+
+// TestFencedCampaignAndOptimizeRefused: campaigns and optimizer jobs are
+// persisted like runs, so a fenced store refuses their submissions the
+// same way: 503 "unavailable", nothing registered, no admission held.
+func TestFencedCampaignAndOptimizeRefused(t *testing.T) {
+	dir := t.TempDir()
+	store, err := runstore.OpenSegment(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ts, api, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Store: store})
+	fenceOut(t, dir, store)
+
+	for _, sub := range []struct{ path, spec string }{
+		{"/api/v1/litmus", `{"arch": "armv8", "gen_seed": 9, "count": 12, "trials": 4, "seed": 3, "shard_size": 5}`},
+		{"/api/v1/optimize", `{"platform": "jvm", "arch": "armv8", "strategies": ["jdk8-barriers", "jdk9-acqrel"], "samples": 3}`},
+	} {
+		resp, err := http.Post(ts.URL+sub.path, "application/json", strings.NewReader(sub.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			resp.Body.Close()
+			t.Errorf("fenced POST %s = %d, want 503", sub.path, resp.StatusCode)
+			continue
+		}
+		if code, msg := decodeEnvelope(t, resp); code != ErrCodeUnavailable || !strings.Contains(msg, "fenced") {
+			t.Errorf("fenced POST %s envelope %s %q, want unavailable naming the fence", sub.path, code, msg)
+		}
+	}
+	api.mu.Lock()
+	kept := len(api.litmus.jobs) + len(api.optimize.jobs)
+	api.mu.Unlock()
+	if kept != 0 {
+		t.Errorf("%d jobs registered after fenced submits, want 0", kept)
+	}
+	if n := api.disp.met.inflight.Value(); n != 0 {
+		t.Errorf("wmm_dispatch_jobs_inflight = %v after fenced submits, want 0", n)
+	}
+}

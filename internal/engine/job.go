@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,21 +22,22 @@ import (
 // tenant, admitted, armed with its timeout and a <kind>-N ID; its cells
 // run through the dispatcher; it ends in a terminal state; and it is
 // listed, served, cancelled or removed, swept by retention and
-// cancelled at shutdown the same way whatever its kind.  A kind supplies
-// only what differs (jobBody): how its cells are cut and driven, how a
-// finished cell folds into progress, and its status and canonical
-// bodies.
+// cancelled at shutdown the same way whatever its kind.  On a server
+// with a run store every job also writes the same records (spec, a
+// checkpoint per cell, assignments, end), and Restore rebuilds any job
+// from them.  A kind supplies only what differs (jobBody): how its cells
+// are cut and driven, how a finished cell folds into progress, and its
+// status and canonical bodies.
 
 // jobKind is one family of jobs.  A Server holds one per family.
 type jobKind struct {
 	name string // "run", "litmus" or "optimize": the status kind and ID prefix
 	noun string // how messages name one job
 	unit string // what an admission refusal counts
-	// parse decodes and validates a submission.
+	// parse decodes and validates a submission; build makes a job from
+	// the normalised spec a store record holds (see rebuild).
 	parse func(r *http.Request) (jobBody, jobHeader, error)
-	// durable jobs are written to the run store (spec, checkpoints,
-	// assignments, end record) and resumed by Restore.
-	durable bool
+	build func(spec json.RawMessage) (jobBody, jobHeader, error)
 	// streams serves GET ?stream=1 NDJSON progress.
 	streams bool
 
@@ -58,7 +62,7 @@ type jobHeader struct {
 	total     int   // cells admitted at submission
 	parallel  int   // cells in flight at once
 	timeoutMs int64 // 0 = no deadline
-	spec      any   // the normalised spec a durable kind persists
+	spec      any   // the normalised spec, as the store records it
 }
 
 // statusView is how much a status body carries.
@@ -71,7 +75,7 @@ const (
 )
 
 // jobBody is the kind-specific half of one job.  Every method but drive
-// runs with the job's lock held.
+// runs with the job's lock held, or before the job is shared.
 type jobBody interface {
 	// drive hands the job's cells to j.dispatch, once or once per wave.
 	// It returns the job's error and the ordered results that decide a
@@ -90,16 +94,22 @@ type jobBody interface {
 
 // serverJob is one submitted job of any kind.
 type serverJob struct {
-	srv     *Server
-	kind    *jobKind
-	body    jobBody
-	id      string
-	hdr     jobHeader
-	durable bool // persisted: a durable kind on a server with a store
-	cancel  context.CancelFunc
+	srv    *Server
+	kind   *jobKind
+	body   jobBody
+	id     string
+	hdr    jobHeader
+	cancel context.CancelFunc
 	// reserved is the admission reservation not yet handed to the
 	// dispatcher: set at submission, then touched by the executor only.
 	reserved int
+	// checkpoints are the cell results Restore found, by cell name;
+	// dispatch answers those cells from them.  A replayed job (one that
+	// finished before the restart) dispatches nothing.  All three are set
+	// before the drive starts.
+	checkpoints map[string]*Result
+	replay      bool
+	resumed     bool
 
 	mu            sync.Mutex
 	state         string
@@ -121,17 +131,42 @@ func (s *Server) newJob(k *jobKind, body jobBody, h jobHeader, started time.Time
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
-	j := &serverJob{srv: s, kind: k, body: body, hdr: h, durable: k.durable && s.store != nil,
-		cancel: cancel, state: StateRunning, started: started}
+	j := &serverJob{srv: s, kind: k, body: body, hdr: h, cancel: cancel, state: StateRunning, started: started}
 	return j, ctx
 }
 
-// dispatch runs one wave of the job's cells on the dispatcher.  The
-// first wave carries the reservation admission took at submission.
+// dispatch runs one wave of the job's cells and returns their results
+// in cell order, with the first failure as the wave's error.  A cell
+// with a checkpoint is answered from it; the others run on the
+// dispatcher, and the first wave to dispatch carries the reservation
+// admission took at submission.  A replayed job never dispatches: a
+// cell without a checkpoint ends the wave with no results.
 func (j *serverJob) dispatch(ctx context.Context, cells []Cell) ([]*Result, error) {
-	reserved := j.reserved
-	j.reserved = 0
-	return j.srv.disp.Run(ctx, j.id, j.hdr.tenant, cells, j.hdr.parallel, j, reserved)
+	results := make([]*Result, len(cells))
+	todo := make([]Cell, 0, len(cells))
+	for i, c := range cells {
+		if results[i] = j.checkpoints[c.Name]; results[i] == nil {
+			todo = append(todo, c)
+		}
+	}
+	if len(todo) > 0 {
+		if j.replay {
+			return nil, fmt.Errorf("%s: no checkpoint to replay", todo[0].Name)
+		}
+		ran := j.srv.disp.Run(ctx, j.id, j.hdr.tenant, todo, j.hdr.parallel, j, j.reserved)
+		j.reserved = 0
+		for i := range results {
+			if results[i] == nil {
+				results[i], ran = ran[0], ran[1:]
+			}
+		}
+	}
+	for _, r := range results {
+		if r.Err != "" {
+			return results, fmt.Errorf("%s: %s", r.Experiment, r.Err)
+		}
+	}
+	return results, nil
 }
 
 // ExperimentStarted and ExperimentDone make the job the dispatcher's
@@ -149,7 +184,7 @@ func (j *serverJob) ExperimentDone(res *Result) {
 		}
 		return ev
 	})
-	if j.durable {
+	if j.srv.store != nil {
 		j.srv.checkpoint(j.id, res)
 	}
 }
@@ -297,7 +332,7 @@ func (s *Server) submitJob(k *jobKind) http.HandlerFunc {
 		// except a *fenced* write, which proves another coordinator owns the
 		// store: that refuses the job outright, because work accepted here
 		// could never be recorded and this process is about to exit.
-		if j.durable {
+		if s.store != nil {
 			raw, err := json.Marshal(h.spec)
 			if err == nil {
 				err = s.store.Begin(j.id, raw, j.started)
@@ -354,7 +389,7 @@ func (s *Server) execute(ctx context.Context, j *serverJob) {
 	// cancellation, which deliberately leaves the job interrupted in the
 	// store so the next startup resumes it from its checkpoints.  An
 	// explicit DELETE is a user decision and stays terminal.
-	if j.durable {
+	if s.store != nil {
 		s.mu.Lock()
 		closing := s.closed
 		s.mu.Unlock()
@@ -372,6 +407,123 @@ func (s *Server) execute(ctx context.Context, j *serverJob) {
 		}
 		close(ch)
 	}
+}
+
+// rebuild adapts a kind's constructor to the spec a store record holds.
+func rebuild[S any](build func(S) (jobBody, jobHeader, error)) func(json.RawMessage) (jobBody, jobHeader, error) {
+	return func(raw json.RawMessage) (jobBody, jobHeader, error) {
+		var spec S
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			return nil, jobHeader{}, err
+		}
+		return build(spec)
+	}
+}
+
+// kindOf places a <kind>-N job ID, or returns nil.
+func (s *Server) kindOf(id string) (*jobKind, int) {
+	name, num, _ := strings.Cut(id, "-")
+	n, err := strconv.Atoi(num)
+	for _, k := range s.kinds() {
+		if k.name == name && err == nil && n > 0 {
+			return k, n
+		}
+	}
+	return nil, 0
+}
+
+// Restore replays the run store into the server, for jobs of every
+// kind.  Each kind's ID sequence continues past its highest ID on disk.
+// A finished job (one with an end record) is rebuilt by its own drive,
+// every cell answered from its checkpoint and nothing dispatched, and
+// becomes a read-only catalogue entry again.  An interrupted job (a spec
+// with no end record: the process died or was shut down mid-job) resumes
+// from its successful checkpoints; positional seed derivation makes the
+// cells it runs again produce the bytes they would have produced
+// uninterrupted, so its canonical JSON is byte-identical.  A record
+// Restore cannot place or decode is counted and skipped.  Call Restore
+// once, after NewServer and before serving traffic.
+func (s *Server) Restore() (resumed, restored int, err error) {
+	if s.store == nil {
+		return 0, 0, nil
+	}
+	recs, err := s.store.Load()
+	if err != nil {
+		s.met.storeErrors.Inc("load")
+		return 0, 0, err
+	}
+	for _, rec := range recs {
+		k, n := s.kindOf(rec.ID)
+		if k == nil {
+			s.met.storeErrors.Inc("decode")
+			continue
+		}
+		s.mu.Lock()
+		k.seq = max(k.seq, n)
+		s.mu.Unlock()
+		body, h, err := k.build(rec.Spec)
+		if err != nil {
+			s.met.storeErrors.Inc("decode")
+			continue
+		}
+		h.tenant = cmp.Or(h.tenant, DefaultTenant) // a spec stored before tenancy
+		// An interrupted job's deadline restarts from now: the original
+		// budget cannot be reconstructed across a crash, and a fresh one
+		// errs on the side of letting the job finish.
+		j, ctx := s.newJob(k, body, h, rec.Started)
+		j.id, j.replay = rec.ID, rec.EndState != ""
+		j.checkpoints = make(map[string]*Result, len(rec.Experiments))
+		// A finished job keeps every checkpoint; an interrupted one only
+		// its successful ones, so failed, cancelled and incomplete cells
+		// get a fresh attempt.  An undecodable checkpoint is dropped.  Each
+		// kept checkpoint folds into the job's progress as it did live.
+		for _, exp := range rec.Experiments {
+			var res Result
+			if json.Unmarshal(exp.Result, &res) != nil {
+				s.met.storeErrors.Inc("decode")
+				continue
+			}
+			if j.replay || res.Status == StatusOK {
+				j.checkpoints[exp.Name] = &res
+				j.completed++
+				body.done(&res)
+			}
+		}
+		if j.replay {
+			j.final, _ = body.drive(ctx, j)
+			j.cancel()
+			j.state, j.err, j.finished = rec.EndState, rec.EndError, rec.Finished
+			if j.finished.IsZero() {
+				j.finished = j.started
+			}
+			s.mu.Lock()
+			if k.jobs[j.id] == nil {
+				s.addLocked(j)
+				restored++
+				s.met.runsRestored.Inc()
+			}
+			s.mu.Unlock()
+			continue
+		}
+		j.resumed = true
+		s.mu.Lock()
+		if k.jobs[j.id] != nil || s.closed {
+			s.mu.Unlock()
+			j.cancel()
+			continue
+		}
+		s.addLocked(j)
+		s.active.Add(1)
+		// Resumed jobs bypass admission and the running quota: abandoning
+		// checkpointed work is worse than a brief overshoot after failover.
+		s.tenantRunningAddLocked(h.tenant, 1)
+		s.mu.Unlock()
+		k.setActive(1)
+		s.met.runsResumed.Inc()
+		resumed++
+		go s.execute(ctx, j)
+	}
+	return resumed, restored, nil
 }
 
 // addLocked enters a job into its kind's catalogue; s.mu must be held.
@@ -397,9 +549,8 @@ func (s *Server) removeLocked(j *serverJob) bool {
 	return true
 }
 
-// remove drops finished jobs from the catalogue — and durable ones from
-// the store, or they would resurrect at the next restart — counting
-// each as swept.
+// remove drops finished jobs from the catalogue and from the store, or
+// they would resurrect at the next restart, counting each as swept.
 func (s *Server) remove(jobs ...*serverJob) {
 	var gone []*serverJob
 	s.mu.Lock()
@@ -411,7 +562,7 @@ func (s *Server) remove(jobs ...*serverJob) {
 	s.mu.Unlock()
 	for _, j := range gone {
 		j.kind.swept.Inc()
-		if j.durable {
+		if s.store != nil {
 			if err := s.store.Delete(j.id); err != nil {
 				s.storeFailed("delete", err)
 			}

@@ -18,11 +18,6 @@ import (
 //	                             JSON of the ordered shard results
 //	DELETE /api/v1/litmus/{id}   cancel a running campaign / remove a
 //	                             finished one
-//
-// Campaigns are in-memory only: unlike experiment runs they are not
-// persisted to the run store, because any campaign is cheap to resubmit
-// — the batch regenerates from (gen_seed, count, max_threads) and every
-// shard re-executes byte-identically.
 
 // litmusJob is the litmus kind's half of a job: one cell per shard.
 type litmusJob struct {
@@ -72,8 +67,13 @@ func (s *Server) parseLitmus(r *http.Request) (jobBody, jobHeader, error) {
 		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant
+	return newLitmusJob(spec)
+}
+
+// newLitmusJob builds a campaign from its normalised spec.
+func newLitmusJob(spec LitmusSpec) (jobBody, jobHeader, error) {
 	b := &litmusJob{spec: spec, shards: spec.shards()}
-	return b, jobHeader{tenant: tenant, total: len(b.shards), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}, nil
+	return b, jobHeader{tenant: spec.Tenant, total: len(b.shards), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
 }
 
 func (b *litmusJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
@@ -108,4 +108,9 @@ func (b *litmusJob) status(j *serverJob, v statusView) any {
 	return st
 }
 
-func (b *litmusJob) canonical(j *serverJob) ([]byte, error) { return CanonicalRunJSON(j.final) }
+func (b *litmusJob) canonical(j *serverJob) ([]byte, error) {
+	if j.final == nil { // restored without every shard's checkpoint
+		return nil, nil
+	}
+	return CanonicalRunJSON(j.final)
+}

@@ -78,10 +78,7 @@ type OptimizeStatus struct {
 	Report *optimize.Report `json:"report,omitempty"`
 }
 
-// parseOptimize is the optimize kind's submission.  Admission covers the
-// first wave (one gate cell per candidate); the scoring wave is sized by
-// the gate's verdicts and joins the queue when it exists, like
-// lost-lease requeues.
+// parseOptimize is the optimize kind's submission.
 func (s *Server) parseOptimize(r *http.Request) (jobBody, jobHeader, error) {
 	var spec OptimizeSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -99,12 +96,20 @@ func (s *Server) parseOptimize(r *http.Request) (jobBody, jobHeader, error) {
 		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant
+	return newOptimizeJob(spec)
+}
+
+// newOptimizeJob builds an optimizer job from its normalised spec.
+// Admission covers the first wave (one gate cell per candidate); the
+// scoring wave is sized by the gate's verdicts and joins the queue when
+// it exists, like lost-lease requeues.
+func newOptimizeJob(spec OptimizeSpec) (jobBody, jobHeader, error) {
 	gates, err := spec.GateCells()
-	if err != nil { // defensive: validate() already resolved the candidates
+	if err != nil { // defensive at submission: validate() already resolved the candidates
 		return nil, jobHeader{}, fmt.Errorf("bad optimize spec: %v", err)
 	}
 	return &optimizeJob{spec: spec, candidates: len(gates), phase: PhaseGate},
-		jobHeader{tenant: tenant, total: len(gates), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}, nil
+		jobHeader{tenant: spec.Tenant, total: len(gates), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
 }
 
 // drive runs the two waves and assembles the report.  The first error —

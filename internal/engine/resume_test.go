@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/runstore"
+	"repro/wmm/client"
 )
 
 // resumeSpec is the run used by the checkpoint/resume tests: fig4 is
@@ -301,5 +303,299 @@ func TestPartialRunState(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `wmm_runs_total{state="partial"} 1`) {
 		t.Error("exposition missing the partial run transition")
+	}
+}
+
+// dispatched is how many cells the server's dispatcher finished, in any
+// mode.
+func dispatched(api *Server) float64 {
+	n := 0.0
+	for _, mode := range []string{"local", "remote", "cache", "cancelled"} {
+		n += api.disp.met.jobsDone.Value(mode)
+	}
+	return n
+}
+
+// storeServer is a server over a segment store at dir.
+func storeServer(t *testing.T, dir string, d *DispatchOptions) (*httptest.Server, *Server, *runstore.SegmentStore) {
+	t.Helper()
+	store, err := runstore.OpenSegment(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ts, api, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Store: store, Dispatch: d})
+	return ts, api, store
+}
+
+// shutdown stops a server the way a killed process leaves its store:
+// in-flight jobs get no end record.
+func shutdown(t *testing.T, api *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := api.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// finishedJobs is one finished job of each kind, as a server served it.
+type finishedJobs struct {
+	run, litmus, optimize string
+	canonical             map[string][]byte
+	litmusSt              client.LitmusStatus
+	optimizeSt            client.OptimizeStatus
+}
+
+// finishJobs runs a run, a campaign and an optimizer job to completion
+// on a server over a store at dir, then shuts the server down.
+func finishJobs(t *testing.T, dir string) finishedJobs {
+	t.Helper()
+	ts, api, _ := storeServer(t, dir, nil)
+	cl := testClient(ts)
+	ctx := context.Background()
+	f := finishedJobs{canonical: map[string][]byte{}}
+	f.run = postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`)
+	f.litmus = submitLitmus(t, ts, litmusSpecJSON).ID
+	f.optimize = submitOptimize(t, ts, optSpecJSON).ID
+	if st := waitState(t, ts, f.run, 2*time.Minute); st.State != StateDone {
+		t.Fatalf("run ended %s (err %q)", st.State, st.Error)
+	}
+	if f.litmusSt = waitLitmus(t, ts, f.litmus); f.litmusSt.State != client.StateDone {
+		t.Fatalf("campaign ended %s (err %q)", f.litmusSt.State, f.litmusSt.Error)
+	}
+	if f.optimizeSt = waitOptimize(t, ts, f.optimize); f.optimizeSt.State != client.StateDone {
+		t.Fatalf("optimizer job ended %s (err %q)", f.optimizeSt.State, f.optimizeSt.Error)
+	}
+	var err error
+	if f.canonical[f.run], err = cl.CanonicalRun(ctx, f.run); err != nil {
+		t.Fatal(err)
+	}
+	if f.canonical[f.litmus], err = cl.CanonicalLitmus(ctx, f.litmus); err != nil {
+		t.Fatal(err)
+	}
+	if f.canonical[f.optimize], err = cl.CanonicalOptimize(ctx, f.optimize); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, api)
+	return f
+}
+
+// checkRestored compares a restarted server's view of the finished jobs
+// with what the server that ran them served.
+func checkRestored(t *testing.T, ts *httptest.Server, f finishedJobs) {
+	t.Helper()
+	cl := testClient(ts)
+	ctx := context.Background()
+	for id, fetch := range map[string]func(context.Context, string) ([]byte, error){
+		f.run: cl.CanonicalRun, f.litmus: cl.CanonicalLitmus, f.optimize: cl.CanonicalOptimize,
+	} {
+		got, err := fetch(ctx, id)
+		if err != nil {
+			t.Errorf("restored %s: canonical JSON: %v", id, err)
+		} else if !bytes.Equal(got, f.canonical[id]) {
+			t.Errorf("restored %s diverged:\n--- before the restart ---\n%s\n--- after ---\n%s", id, f.canonical[id], got)
+		}
+	}
+	if st, err := cl.Litmus(ctx, f.litmus, false); err != nil {
+		t.Errorf("restored %s: %v", f.litmus, err)
+	} else if st.State != client.StateDone || st.Completed != f.litmusSt.Completed ||
+		st.Tests != f.litmusSt.Tests || st.Trials != f.litmusSt.Trials {
+		t.Errorf("restored %s status %+v, want %+v", f.litmus, st, f.litmusSt)
+	}
+	if st, err := cl.Optimize(ctx, f.optimize); err != nil {
+		t.Errorf("restored %s: %v", f.optimize, err)
+	} else if want := f.optimizeSt; st.State != client.StateDone || st.Phase != want.Phase ||
+		st.Tried != want.Tried || st.RejectedUnsound != want.RejectedUnsound || st.Scored != want.Scored ||
+		st.Best != want.Best || st.CellsDone != want.CellsDone || st.Report == nil {
+		t.Errorf("restored %s status %+v, want %+v", f.optimize, st, want)
+	}
+}
+
+// TestRestoreFinishedCampaignAndOptimize: a finished campaign and a
+// finished optimizer job survive a restart with byte-identical canonical
+// JSON and the status counts they ended with, and each kind's IDs
+// continue past the restored ones instead of reissuing them.  Finished
+// jobs are rebuilt from their checkpoints alone: on a server with no
+// local slot and no worker, Restore returns at once with every job
+// complete, and the dispatcher never sees a cell.
+func TestRestoreFinishedCampaignAndOptimize(t *testing.T) {
+	dir := t.TempDir()
+	f := finishJobs(t, dir)
+
+	ts, api, _ := storeServer(t, dir, &DispatchOptions{LocalSlots: -1})
+	start := time.Now()
+	resumed, restored, err := api.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("Restore took %v with nothing to dispatch", took)
+	}
+	if resumed != 0 || restored != 3 {
+		t.Errorf("Restore = %d resumed / %d restored, want 0/3", resumed, restored)
+	}
+	checkRestored(t, ts, f)
+	if n := dispatched(api); n != 0 {
+		t.Errorf("restoring finished jobs dispatched %v cells, want 0", n)
+	}
+	if n := api.disp.met.inflight.Value(); n != 0 {
+		t.Errorf("wmm_dispatch_jobs_inflight = %v after restoring finished jobs, want 0", n)
+	}
+
+	// New jobs queue (nothing serves them); only their IDs matter here.
+	if id := postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`); id != "run-2" {
+		t.Errorf("next run got ID %s, want run-2", id)
+	}
+	if id := submitLitmus(t, ts, litmusSpecJSON).ID; id != "litmus-2" {
+		t.Errorf("next campaign got ID %s, want litmus-2", id)
+	}
+	if id := submitOptimize(t, ts, optSpecJSON).ID; id != "optimize-2" {
+		t.Errorf("next optimizer job got ID %s, want optimize-2", id)
+	}
+}
+
+// workCells leases and executes n cells from ts one at a time, as
+// cmd/wmmworker does, and stops: the jobs on a server with no local slot
+// then have exactly n cells finished.
+func workCells(t *testing.T, ts *httptest.Server, n int) {
+	t.Helper()
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	cl := testClient(ts)
+	ctx := context.Background()
+	deadline := time.Now().Add(2 * time.Minute)
+	for done := 0; done < n; {
+		grant, err := cl.Lease(ctx, "w1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grant.Jobs) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d cells were ever queued", done, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		job := grant.Jobs[0]
+		res, err := eng.RunCell(ctx, job.Kind, job.Cell)
+		if err != nil {
+			t.Fatalf("cell %s/%s: %v", job.RunID, job.Experiment, err)
+		}
+		raw, _ := json.Marshal(res)
+		up := []client.JobResult{{RunID: job.RunID, Experiment: job.Experiment, Result: raw}}
+		if ack, err := cl.UploadResults(ctx, grant.LeaseID, up); err != nil || ack.Accepted != 1 {
+			t.Fatalf("upload %s/%s: %+v, %v", job.RunID, job.Experiment, ack, err)
+		}
+		done++
+	}
+}
+
+// crashAfter submits a job to a server over a store at dir that has no
+// local slot, finishes n of its cells, then stops the server as a
+// crash would, and checks that the store holds the job interrupted.
+func crashAfter(t *testing.T, dir string, n int, submit func(*httptest.Server) string) string {
+	t.Helper()
+	ts, api, store := storeServer(t, dir, &DispatchOptions{LocalSlots: -1, LeaseTTL: time.Minute})
+	id := submit(ts)
+	workCells(t, ts, n)
+	shutdown(t, api)
+	recs, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != id || recs[0].EndState != "" {
+		t.Fatalf("store after the crash holds %+v, want %s interrupted", recs, id)
+	}
+	return id
+}
+
+// resumeFrom restarts a server over dir and checks that Restore resumes
+// exactly one job.
+func resumeFrom(t *testing.T, dir string) (*httptest.Server, *Server) {
+	t.Helper()
+	ts, api, _ := storeServer(t, dir, nil)
+	resumed, restored, err := api.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 1 || restored != 0 {
+		t.Errorf("Restore = %d resumed / %d restored, want 1/0", resumed, restored)
+	}
+	return ts, api
+}
+
+// TestCrashResumeCampaign: a campaign cut after 3 of its 10 shards
+// resumes on a fresh server to canonical JSON byte-identical to an
+// uninterrupted campaign, dispatching only the 7 shards it lacked.
+func TestCrashResumeCampaign(t *testing.T) {
+	spec := client.LitmusSpec{Arch: "armv8", GenSeed: 9, Count: 20, Trials: 4, Seed: 3, ShardSize: 2, Parallel: 2}
+	ref, _ := newTestServer(t)
+	want, err := testClient(ref).CanonicalLitmus(context.Background(), waitLitmus(t, ref, submitLitmus(t, ref, spec).ID).ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	id := crashAfter(t, dir, 3, func(ts *httptest.Server) string { return submitLitmus(t, ts, spec).ID })
+	ts, api := resumeFrom(t, dir)
+	st := waitLitmus(t, ts, id)
+	if st.State != client.StateDone || st.Completed != 10 {
+		t.Fatalf("resumed campaign ended %s with %d/10 shards (err %q)", st.State, st.Completed, st.Error)
+	}
+	got, err := testClient(ts).CanonicalLitmus(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed campaign diverged from an uninterrupted one:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+	if n := dispatched(api); n != 7 {
+		t.Errorf("resumed campaign dispatched %v shards, want the 7 without a checkpoint", n)
+	}
+	if got := api.met.runsResumed.Value(); got != 1 {
+		t.Errorf("wmm_runs_resumed_total = %v, want 1", got)
+	}
+}
+
+// TestCrashResumeOptimize: an optimizer job cut in its gate wave, and
+// one cut in its score wave, each resume on a fresh server to a
+// canonical report byte-identical to an uninterrupted job's, with the
+// same status counts, dispatching only the cells that had no successful
+// checkpoint.  optSpecJSON has 2 gate cells, then 4 score cells.
+func TestCrashResumeOptimize(t *testing.T) {
+	ref, _ := newTestServer(t)
+	wantSt := waitOptimize(t, ref, submitOptimize(t, ref, optSpecJSON).ID)
+	want, err := testClient(ref).CanonicalOptimize(context.Background(), wantSt.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []struct {
+		name       string
+		done, rest int
+	}{{"gate", 1, 5}, {"score", 4, 2}} {
+		t.Run(cut.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id := crashAfter(t, dir, cut.done, func(ts *httptest.Server) string { return submitOptimize(t, ts, optSpecJSON).ID })
+			ts, api := resumeFrom(t, dir)
+			st := waitOptimize(t, ts, id)
+			if st.State != client.StateDone {
+				t.Fatalf("resumed optimizer job ended %s (err %q)", st.State, st.Error)
+			}
+			if st.Tried != wantSt.Tried || st.RejectedUnsound != wantSt.RejectedUnsound || st.Scored != wantSt.Scored ||
+				st.Best != wantSt.Best || st.CellsDone != wantSt.CellsDone {
+				t.Errorf("resumed status %+v, want the counts of %+v", st, wantSt)
+			}
+			got, err := testClient(ts).CanonicalOptimize(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("resumed report diverged from an uninterrupted one:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
+			}
+			if n := dispatched(api); n != float64(cut.rest) {
+				t.Errorf("resumed job dispatched %v cells, want the %d without a checkpoint", n, cut.rest)
+			}
+		})
 	}
 }

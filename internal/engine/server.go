@@ -106,11 +106,11 @@ type serverMetrics struct {
 	runsKept   *metrics.Gauge     // runs retained in memory
 	runsSwept  *metrics.Counter   // runs removed by GC or DELETE
 
-	checkpoints  *metrics.Counter // experiment results durably checkpointed
+	checkpoints  *metrics.Counter // job cells durably checkpointed
 	storeErrors  *metrics.Counter // failed store operations, by op
 	storeFenced  *metrics.Counter // store mutations refused by the fencing token
-	runsResumed  *metrics.Counter // interrupted runs resumed on startup
-	runsRestored *metrics.Counter // finished runs replayed into the catalogue
+	runsResumed  *metrics.Counter // interrupted jobs resumed on startup
+	runsRestored *metrics.Counter // finished jobs replayed into the catalogue
 
 	assignments   *metrics.Counter // jobs assigned to remote workers
 	litmusRuns    *metrics.Counter // litmus campaign lifecycle transitions, by state
@@ -132,11 +132,11 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		runsKept:   r.Gauge("wmm_runs_retained", "Runs held in memory (running + finished awaiting retention)."),
 		runsSwept:  r.Counter("wmm_runs_swept_total", "Finished runs removed by the retention sweep or DELETE."),
 
-		checkpoints:  r.Counter("wmm_store_checkpoints_written_total", "Experiment results durably checkpointed to the run store."),
+		checkpoints:  r.Counter("wmm_store_checkpoints_written_total", "Job cells (run experiments, litmus shards, optimizer cells) durably checkpointed to the run store."),
 		storeErrors:  r.Counter("wmm_store_errors_total", "Failed run-store operations, by operation.", "op"),
 		storeFenced:  r.Counter("wmm_store_fenced_writes_total", "Store mutations refused by the lease fencing token (this process was deposed)."),
-		runsResumed:  r.Counter("wmm_runs_resumed_total", "Interrupted runs resumed from the store on startup."),
-		runsRestored: r.Counter("wmm_runs_restored_total", "Finished runs replayed from the store into the catalogue."),
+		runsResumed:  r.Counter("wmm_runs_resumed_total", "Interrupted jobs of every kind resumed from the store on startup."),
+		runsRestored: r.Counter("wmm_runs_restored_total", "Finished jobs of every kind replayed from the store into the catalogue."),
 
 		assignments:   r.Counter("wmm_dispatch_assignments_total", "Experiment jobs assigned to remote workers under leases."),
 		litmusRuns:    r.Counter("wmm_litmus_runs_total", "Litmus campaign lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
@@ -163,12 +163,12 @@ type ServerOptions struct {
 	Retain time.Duration
 	// SweepEvery is the GC interval; Retain/4 clamped to [1s, 1m] if 0.
 	SweepEvery time.Duration
-	// Store, when non-nil, makes runs durable: specs and completed
-	// experiment results are checkpointed as they happen, and Restore
-	// replays them after a restart — resuming interrupted runs from
-	// their last checkpoint.  A nil Store is the in-memory-only
-	// behaviour.  Take care to leave this nil rather than storing a
-	// typed-nil *runstore.SegmentStore.
+	// Store, when non-nil, makes jobs of every kind durable: specs and
+	// completed cells are checkpointed as they happen, and Restore
+	// replays them after a restart — resuming interrupted jobs from
+	// their checkpoints.  A nil Store is the in-memory-only behaviour.
+	// Take care to leave this nil rather than storing a typed-nil
+	// *runstore.SegmentStore.
 	Store runstore.Storage
 	// Dispatch configures the sharded execution backend every job runs
 	// on: a job's cells (a run's experiments, a campaign's shards, an
@@ -186,7 +186,7 @@ type ServerOptions struct {
 	// TenantMaxRunning bounds how many jobs — runs, litmus campaigns and
 	// optimizer jobs together — one tenant may have executing at once;
 	// submissions beyond it are refused with 429 + Retry-After.
-	// 0 = unbounded.  Resumed runs bypass the quota — losing checkpointed
+	// 0 = unbounded.  Resumed jobs bypass the quota — losing checkpointed
 	// work is worse than a brief overshoot.
 	TenantMaxRunning int
 	// OnFenced is called (once) when a store mutation is refused by the
@@ -251,17 +251,12 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 		tenantRunning:    map[string]int{},
 		stop:             make(chan struct{}),
 	}
-	s.runs = &jobKind{name: "run", noun: "run", unit: "jobs", parse: s.parseRun, durable: true, streams: true,
+	s.runs = &jobKind{name: "run", noun: "run", unit: "jobs", parse: s.parseRun, build: rebuild(newRunJob), streams: true,
 		ended: s.met.runs, swept: s.met.runsSwept, active: s.met.runsActive, kept: s.met.runsKept, jobs: map[string]*serverJob{}}
-	s.litmus = &jobKind{name: "litmus", noun: "litmus campaign", unit: "shards", parse: s.parseLitmus,
+	s.litmus = &jobKind{name: "litmus", noun: "litmus campaign", unit: "shards", parse: s.parseLitmus, build: rebuild(newLitmusJob),
 		ended: s.met.litmusRuns, swept: s.met.litmusSwept, jobs: map[string]*serverJob{}}
-	s.optimize = &jobKind{name: "optimize", noun: "optimize job", unit: "cells", parse: s.parseOptimize,
+	s.optimize = &jobKind{name: "optimize", noun: "optimize job", unit: "cells", parse: s.parseOptimize, build: rebuild(newOptimizeJob),
 		ended: s.met.optimizeRuns, swept: s.met.optimizeSwept, jobs: map[string]*serverJob{}}
-	if s.store != nil {
-		// Continue the run-N sequence past anything already on disk so
-		// a restarted server never reuses an ID.
-		s.runs.seq = s.store.MaxSeq()
-	}
 	var dopt DispatchOptions
 	if o.Dispatch != nil {
 		dopt = *o.Dispatch
@@ -269,12 +264,9 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 	if dopt.OnAssign == nil {
 		dopt.OnAssign = func(runID, experiment, worker string) {
 			s.met.assignments.Inc()
-			// Only persisted jobs get assignment records: the store keeps
-			// them with the job's other records and drops them with it.
-			s.mu.Lock()
-			j := s.runs.jobs[runID]
-			s.mu.Unlock()
-			if j != nil && j.durable {
+			// The store keeps a job's assignments with its other records
+			// and drops them with it.
+			if s.store != nil {
 				if err := s.store.Assign(runID, experiment, worker); err != nil {
 					s.storeFailed("assign", err)
 				}
@@ -328,119 +320,6 @@ func specOrder(spec RunSpec) []string {
 		names = append(names, e.Name)
 	}
 	return names
-}
-
-// Restore replays the run store into the server.  Finished runs (those
-// with a terminal record) become queryable catalogue entries again;
-// interrupted runs — a spec with no terminal record, meaning the process
-// died or was shut down mid-run — are resumed from their last checkpoint.
-// Positional seed derivation makes the resumed portion produce the same
-// numbers it would have produced uninterrupted, so the final canonical
-// JSON is byte-identical.  Call Restore once, after NewServer and before
-// serving traffic.
-func (s *Server) Restore() (resumed, restored int, err error) {
-	if s.store == nil {
-		return 0, 0, nil
-	}
-	recs, err := s.store.Load()
-	if err != nil {
-		s.met.storeErrors.Inc("load")
-		return 0, 0, err
-	}
-	for _, rec := range recs {
-		var spec RunSpec
-		if derr := json.Unmarshal(rec.Spec, &spec); derr != nil {
-			s.met.storeErrors.Inc("decode")
-			continue
-		}
-		order := specOrder(spec)
-
-		// Decode every checkpoint; an undecodable one is dropped
-		// (counted), which for an interrupted run just means that
-		// experiment re-executes.
-		byName := make(map[string]*Result, len(rec.Experiments))
-		var inOrder []*Result // checkpoint (completion) order
-		for _, exp := range rec.Experiments {
-			var res Result
-			if derr := json.Unmarshal(exp.Result, &res); derr != nil {
-				s.met.storeErrors.Inc("decode")
-				continue
-			}
-			byName[exp.Name] = &res
-			inOrder = append(inOrder, &res)
-		}
-
-		tenant := spec.Tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
-		body := &runJob{spec: spec, running: map[string]bool{}}
-		h := jobHeader{tenant: tenant, total: len(order), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs}
-
-		if rec.EndState != "" {
-			// Finished: replay into the catalogue, read-only.
-			j, _ := s.newJob(s.runs, body, h, rec.Started)
-			j.cancel() // nothing will run
-			j.id, j.state, j.err, j.finished = rec.ID, rec.EndState, rec.EndError, rec.Finished
-			if j.finished.IsZero() {
-				j.finished = j.started
-			}
-			body.results, j.completed = inOrder, len(inOrder)
-			// With the complete set on disk, final carries the results in
-			// request order, exactly as the live run returned them.
-			final := make([]*Result, len(order))
-			for i, name := range order {
-				if final[i] = byName[name]; final[i] == nil {
-					final = nil
-					break
-				}
-			}
-			j.final = final
-			s.mu.Lock()
-			if s.runs.jobs[rec.ID] == nil {
-				s.addLocked(j)
-				restored++
-				s.mu.Unlock()
-				s.met.runsRestored.Inc()
-			} else {
-				s.mu.Unlock()
-			}
-			continue
-		}
-
-		// Interrupted: resume.  Only StatusOK checkpoints are reused;
-		// failed/cancelled/incomplete experiments get a fresh attempt.
-		// The deadline restarts from now: the original budget cannot be
-		// reconstructed across a crash, and a fresh one errs on the side
-		// of letting the run finish.
-		body.restored = make(map[string]*Result, len(byName))
-		for _, res := range inOrder {
-			if res.Status == StatusOK {
-				body.restored[res.Experiment] = res
-				body.results = append(body.results, res)
-			}
-		}
-		body.resumed = true
-		j, ctx := s.newJob(s.runs, body, h, rec.Started)
-		j.id, j.completed = rec.ID, len(body.results)
-		s.mu.Lock()
-		if s.runs.jobs[rec.ID] != nil || s.closed {
-			s.mu.Unlock()
-			j.cancel()
-			continue
-		}
-		s.addLocked(j)
-		s.active.Add(1)
-		// Resumed runs bypass the running quota: abandoning checkpointed
-		// work is worse than a brief overshoot after failover.
-		s.tenantRunningAddLocked(tenant, 1)
-		s.mu.Unlock()
-		s.runs.setActive(1)
-		s.met.runsResumed.Inc()
-		resumed++
-		go s.execute(ctx, j)
-	}
-	return resumed, restored, nil
 }
 
 // sweep periodically garbage-collects finished runs past retention.
@@ -834,16 +713,11 @@ func (s *Server) writeSaturated(w http.ResponseWriter, format string, args ...an
 }
 
 // runJob is the run kind's half of a job: a sweep of experiments, one
-// cell each, checkpointed to the run store as they finish and resumable
-// from those checkpoints after a restart.
+// cell each.
 type runJob struct {
-	spec RunSpec
-	// restored carries checkpointed results a resumed run must not
-	// re-execute (set once before the run starts, read-only after).
-	restored map[string]*Result
-	resumed  bool
-	running  map[string]bool
-	results  []*Result // completed experiments, in completion order
+	spec    RunSpec
+	running map[string]bool
+	results []*Result // completed experiments, in completion order
 }
 
 // parseRun is the run kind's submission: a RunSpec, validated and
@@ -879,21 +753,20 @@ func (s *Server) parseRun(r *http.Request) (jobBody, jobHeader, error) {
 		return nil, jobHeader{}, err
 	}
 	spec.Tenant = tenant // persist and echo the effective tenant
-	return &runJob{spec: spec, running: map[string]bool{}},
-		jobHeader{tenant: tenant, total: len(specOrder(spec)), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
+	return newRunJob(spec)
 }
 
-// drive runs every experiment not restored from a checkpoint, then
-// slots the restored ones back in, returning the full set in request
-// order.  Restored results all succeeded, so the dispatcher's first
-// failure is the run's.
+// newRunJob builds a run from its normalised spec.
+func newRunJob(spec RunSpec) (jobBody, jobHeader, error) {
+	return &runJob{spec: spec, running: map[string]bool{}},
+		jobHeader{tenant: spec.Tenant, total: len(specOrder(spec)), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
+}
+
+// drive runs the spec's experiments, one cell each, returning their
+// results in request order.
 func (b *runJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
-	order := specOrder(b.spec)
 	var cells []Cell
-	for _, name := range order {
-		if b.restored[name] != nil {
-			continue
-		}
+	for _, name := range specOrder(b.spec) {
 		c := experimentCell{Experiment: name, Samples: b.spec.Samples, Seed: b.spec.Seed,
 			Short: b.spec.Short, Adaptive: b.spec.Adaptive}
 		key := ""
@@ -902,14 +775,7 @@ func (b *runJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
 		}
 		cells = append(cells, newCell(name, key, "run", c))
 	}
-	results, err := j.dispatch(ctx, cells)
-	out := make([]*Result, len(order))
-	for i, name := range order {
-		if out[i] = b.restored[name]; out[i] == nil {
-			out[i], results = results[0], results[1:]
-		}
-	}
-	return out, err
+	return j.dispatch(ctx, cells)
 }
 
 func (b *runJob) started(name string) *event {
@@ -933,7 +799,7 @@ func (b *runJob) status(j *serverJob, v statusView) any {
 		Spec:      b.spec,
 		Total:     j.hdr.total,
 		Completed: j.completed,
-		Resumed:   b.resumed,
+		Resumed:   j.resumed,
 		Error:     j.err,
 		StartedAt: j.started,
 	}
@@ -952,11 +818,11 @@ func (b *runJob) canonical(j *serverJob) ([]byte, error) {
 	return CanonicalRunJSON(b.results)
 }
 
-// checkpoint durably records a completed cell of a durable job.  Results
-// of any status are written (so a restored finished run is complete),
-// but only StatusOK checkpoints are reused on resume — failed and
-// cancelled experiments get a fresh attempt.  Store failures degrade
-// durability, never the job.
+// checkpoint durably records a completed cell of a job.  Results of any
+// status are written (so a restored finished job is complete), but only
+// StatusOK checkpoints are reused on resume — failed and cancelled cells
+// get a fresh attempt.  Store failures degrade durability, never the
+// job.
 func (s *Server) checkpoint(id string, res *Result) {
 	raw, err := json.Marshal(res)
 	if err == nil {

@@ -9,7 +9,7 @@
 // standby from a broken process.  When the leader dies without
 // releasing, its lease expires; a standby waits out the grace window,
 // claims the next term, and promotes — replaying the store, resuming
-// interrupted runs from their checkpoints.
+// interrupted jobs from their checkpoints.
 //
 // A leader renews at TTL/3 and deposes itself when it cannot confirm a
 // renewal within one TTL — before the standby's takeover point, which is

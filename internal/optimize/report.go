@@ -53,9 +53,9 @@ type Report struct {
 	Spec    Spec   `json:"spec"`
 	// SensitivityK is the scoring workload's fitted sensitivity to the
 	// instrumented path, with its relative standard error (percent).
-	SensitivityK  float64     `json:"sensitivity_k"`
-	KRelErrPct    *float64    `json:"k_rel_err_pct,omitempty"`
-	FitPoints     []fit.Point `json:"fit_points,omitempty"`
+	SensitivityK  float64           `json:"sensitivity_k"`
+	KRelErrPct    *float64          `json:"k_rel_err_pct,omitempty"`
+	FitPoints     []fit.Point       `json:"fit_points,omitempty"`
 	Candidates    []CandidateReport `json:"candidates"`
 	Best          string            `json:"best,omitempty"`
 	Unsound       int               `json:"unsound"`

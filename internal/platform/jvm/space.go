@@ -112,10 +112,10 @@ func specName(sp Spec) string {
 // is dropped — sound-looking but rejected by the litmus gate.
 func Enumerate() []Strategy {
 	specs := []Spec{
-		{Loads: LowerBarriers, Stores: LowerBarriers},                    // jdk8-barriers
-		{Loads: LowerAcqRel, Stores: LowerAcqRel},                        // jdk9-acqrel
-		{Loads: LowerAcqRel, Stores: LowerBarriers},                      // hybrid-ldar+dmb
-		{Loads: LowerBarriers, Stores: LowerAcqRel},                      // hybrid-dmb+stlr
+		{Loads: LowerBarriers, Stores: LowerBarriers}, // jdk8-barriers
+		{Loads: LowerAcqRel, Stores: LowerAcqRel},     // jdk9-acqrel
+		{Loads: LowerAcqRel, Stores: LowerBarriers},   // hybrid-ldar+dmb
+		{Loads: LowerBarriers, Stores: LowerAcqRel},   // hybrid-dmb+stlr
 		{Loads: LowerBarriers, Stores: LowerBarriers, HeavyStoreStore: true},
 		{Loads: LowerAcqRel, Stores: LowerBarriers, DropStoreLoad: true}, // hybrid-ldar+dmb-nosl (unsound)
 	}

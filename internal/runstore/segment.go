@@ -46,12 +46,12 @@ import (
 //
 // Compaction is crash-safe by construction: fold the sealed segments
 // into a new compact-N.log (invisible until referenced), fsync it,
-// commit a manifest naming it, and only then delete the replaced files.
-// A crash leaves either the old manifest (the compact file is an orphan,
-// removed by the next writer's repairs) or the new one (the old
-// segments are left loose; see compactLocked).  Run deletion appends a
-// tombstone record ({"rec":"delete"}); compaction is what physically
-// reclaims tombstoned runs.
+// commit a manifest naming it and the segments it folded, and only then
+// delete those.  A crash leaves the old manifest (the compact file is an
+// orphan) or the new one (the folded segments may remain, but it names
+// them); either way no replay reads the leftovers, and the next writer
+// removes them.  Run deletion appends a tombstone record
+// ({"rec":"delete"}); compaction physically reclaims tombstoned runs.
 type SegmentStore struct {
 	cacheFS
 	leaseFS
@@ -92,6 +92,9 @@ type manifest struct {
 	Sealed []string `json:"sealed"`
 	// Seq is the highest segment sequence number ever committed.
 	Seq int `json:"seq"`
+	// Folded lists the segments the last compaction folded into Sealed:
+	// never replayed or adopted, only removed.
+	Folded []string `json:"folded,omitempty"`
 }
 
 // OpenSegment opens the segment store at dir, creating the directory
@@ -181,7 +184,7 @@ func segSeq(name string) int {
 type view struct {
 	man     manifest
 	loose   []string // seg-*.log files the manifest does not name, in sequence order
-	orphans []string // compact-*.log files the manifest does not name
+	orphans []string // compaction output the manifest does not name, and segments it folded
 	jsonl   string   // a run file of the per-run JSONL layout, if any
 }
 
@@ -209,6 +212,10 @@ func (s *SegmentStore) scan() (view, error) {
 		sealed[name] = true
 		v.man.Seq = max(v.man.Seq, segSeq(name))
 	}
+	folded := make(map[string]bool, len(v.man.Folded))
+	for _, name := range v.man.Folded {
+		folded[name] = true
+	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return v, fmt.Errorf("runstore: read %s: %w", s.dir, err)
@@ -220,8 +227,9 @@ func (s *SegmentStore) scan() (view, error) {
 		case strings.HasSuffix(name, ".jsonl"):
 			v.jsonl = name
 		case segSeq(name) < 0:
-		case strings.HasPrefix(name, "compact-"):
-			// Output of a compaction whose manifest never committed.
+		case folded[name] || strings.HasPrefix(name, "compact-"):
+			// Left by a compaction: folded input its removals missed, or
+			// output whose manifest never committed.
 			v.orphans = append(v.orphans, name)
 		default:
 			v.loose = append(v.loose, name)
@@ -236,7 +244,7 @@ func (s *SegmentStore) scan() (view, error) {
 // holds, checked first so that a fenced handle repairs nothing either.
 // At the handle's first mutation, and the first after Fence, it readies
 // the writer from what is on disk now, making the repairs a crash can
-// leave: orphaned compaction output is removed, loose segments other
+// leave: compaction leftovers are removed, loose segments other
 // than the newest are adopted into the manifest in sequence order (a
 // crash between sealing and the manifest commit), and the newest one is
 // reopened as the active segment with any torn tail trimmed.
@@ -448,19 +456,17 @@ func (s *SegmentStore) compactLocked() error {
 		os.Remove(filepath.Join(s.dir, name))
 		return err
 	}
-	next := manifest{Sealed: []string{name}, Seq: seq}
+	next := manifest{Sealed: []string{name}, Seq: seq, Folded: s.man.Sealed}
 	if err := s.writeManifest(next); err != nil {
 		os.Remove(filepath.Join(s.dir, name))
 		return err
 	}
-	old := s.man.Sealed
 	s.man = next
-	// The new manifest is the commit point; the replaced segments are
-	// now unreferenced.  Segments left by a failed removal or a crash
-	// here are loose to the next writer, which adopts and replays them
-	// again after the compact segment: specs, checkpoints and end
-	// records fold to the same state, but assign records repeat.
-	for _, n := range old {
+	// The new manifest is the commit point.  It names the folded
+	// segments, so a failed removal or a crash here leaves files that no
+	// replay reads (replaying them again would repeat their assign
+	// records) and the next writer removes.
+	for _, n := range next.Folded {
 		os.Remove(filepath.Join(s.dir, n))
 	}
 	return nil
@@ -568,23 +574,6 @@ func (s *SegmentStore) Load() ([]*RunRecord, error) {
 		sortRuns(runs)
 		return runs, nil
 	}
-}
-
-// MaxSeq reports the highest live "run-N" identifier.
-func (s *SegmentStore) MaxSeq() int {
-	runs, err := s.Load()
-	if err != nil {
-		return 0
-	}
-	max := 0
-	for _, r := range runs {
-		if rest, ok := strings.CutPrefix(r.ID, "run-"); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > max {
-				max = n
-			}
-		}
-	}
-	return max
 }
 
 // recordFold accumulates the replayed state of every run across

@@ -224,6 +224,87 @@ func TestSegmentOrphanCleanup(t *testing.T) {
 	}
 }
 
+// TestSegmentCompactLeftovers: a crash between compaction's manifest
+// commit and the removal of the segments it folded leaves those files
+// behind.  They must never replay again: specs, checkpoints and end
+// records would fold to the same state, but assign records would repeat,
+// and the next compaction would keep the copies.  The writer's first
+// mutation removes them.
+func TestSegmentCompactLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	s := openSmallSegment(t, dir)
+	if err := s.Begin("litmus-1", json.RawMessage(`{}`), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assign("litmus-1", "shard-00000-00002", "w1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		pad := json.RawMessage(`{"pad":"` + strings.Repeat("x", 400) + `"}`)
+		if err := s.Checkpoint("litmus-1", fmt.Sprintf("shard-%d", i), pad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := map[string][]byte{}
+	for _, path := range segs {
+		if saved[path], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// Put the folded segments back, as a crash before their removal
+	// leaves them.
+	for path, data := range saved {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("compaction did not remove %s", filepath.Base(path))
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(saved) < 3 {
+		t.Fatalf("compaction folded %d segments, want several", len(saved))
+	}
+
+	s2 := openSmallSegment(t, dir)
+	defer s2.Close()
+	check := func(when string) {
+		t.Helper()
+		runs, err := s2.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(runs, func(r *RunRecord) bool { return r.ID == "litmus-1" })
+		if i < 0 {
+			t.Fatalf("%s: replay lost litmus-1", when)
+		}
+		if n, m := len(runs[i].Assignments), len(runs[i].Experiments); n != 1 || m != 4 {
+			t.Errorf("%s: litmus-1 replays %d assign records and %d checkpoints, want 1 and 4", when, n, m)
+		}
+	}
+	check("after reopening")
+	if err := s2.Begin("run-2", json.RawMessage(`{}`), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	check("after the first append")
+	for path := range saved {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("folded segment %s survived the writer's repairs", filepath.Base(path))
+		}
+	}
+	if err := s2.compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the next compaction")
+}
+
 // TestSegmentTornActiveTrimmed proves a partial final line is truncated
 // on recovery so the first post-restart append is not silently merged
 // into garbage.
@@ -357,8 +438,8 @@ func TestSegmentStandbySeesLeaderWrites(t *testing.T) {
 	if len(runs) != 12 {
 		t.Fatalf("standby Load replayed %d of 12 runs", len(runs))
 	}
-	if got := standby.MaxSeq(); got != 12 {
-		t.Fatalf("standby MaxSeq = %d, want 12", got)
+	if got := maxRunSeq(t, standby); got != 12 {
+		t.Fatalf("standby's highest replayed run ID = %d, want 12", got)
 	}
 
 	// Failover: the standby arms the next term and writes past a seal,
@@ -452,8 +533,8 @@ func TestSegmentOpenOnlyReads(t *testing.T) {
 	if len(runs) != 2 || string(runs[0].Experiment("a")) != `{"v":1}` || runs[1].EndState != "" {
 		t.Fatalf("replay: %d runs %+v, want run-1 with checkpoint a and interrupted run-2", len(runs), runs)
 	}
-	if got := s.MaxSeq(); got != 2 {
-		t.Fatalf("MaxSeq = %d, want 2", got)
+	if got := maxRunSeq(t, s); got != 2 {
+		t.Fatalf("highest replayed run ID = %d, want 2", got)
 	}
 	if after := snapshotDir(t, dir); !maps.Equal(before, after) {
 		t.Fatalf("open and replay changed the store:\nbefore %q\nafter  %q", before, after)
@@ -507,8 +588,9 @@ func TestSegmentRefusesJSONLDir(t *testing.T) {
 	s, err := OpenSegment(dir)
 	if err == nil {
 		runs, _ := s.Load()
+		top := maxRunSeq(t, s)
 		s.Close()
-		t.Fatalf("OpenSegment over a per-run JSONL directory: no error; %d runs replayed, MaxSeq %d", len(runs), s.MaxSeq())
+		t.Fatalf("OpenSegment over a per-run JSONL directory: no error; %d runs replayed, highest run ID %d", len(runs), top)
 	}
 	for _, want := range []string{"run-1.jsonl", "no longer read", filepath.Join(dir, cacheDir) + "/ is kept"} {
 		if !strings.Contains(err.Error(), want) {

@@ -37,8 +37,6 @@ type Storage interface {
 	Delete(id string) error
 	// Load replays every run, in run-ID order (run-2 before run-10).
 	Load() ([]*RunRecord, error)
-	// MaxSeq reports the highest live "run-N" identifier.
-	MaxSeq() int
 
 	// The content-addressed result-cache layer (resultcache.Persist).
 	CacheGet(key string) ([]byte, bool)

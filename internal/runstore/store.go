@@ -1,8 +1,8 @@
-// Package runstore persists experiment runs so that a wmmd restart —
-// graceful or a crash — does not throw away hours of sweep progress.
-// Every run is a sequence of self-describing record lines, each naming
-// its run, appended to log segments that all runs share (SegmentStore
-// holds the file layout):
+// Package runstore persists wmmd's jobs so that a restart — graceful or
+// a crash — does not throw away hours of progress.  Every job (a run, a
+// litmus campaign, an optimizer job) is a sequence of self-describing
+// record lines, each naming its job, appended to log segments that all
+// jobs share (SegmentStore holds the file layout):
 //
 //	{"rec":"spec", "id":"run-1", "time":..., "spec":{...}}                     submission
 //	{"rec":"experiment", "id":"run-1", "time":..., "name":"fig5", "result":{...}}  checkpoint
@@ -11,10 +11,10 @@
 //	{"rec":"delete", "id":"run-1", "time":...}                                  tombstone
 //
 // Every append is flushed and fsynced before it returns, so a record is
-// durable the moment the caller proceeds.  A run with a spec record but
+// durable the moment the caller proceeds.  A job with a spec record but
 // no end record is *interrupted*: on startup the server replays the
-// store, restores finished runs as queryable history, and resumes
-// interrupted runs from their last checkpointed experiment.
+// store, restores finished jobs as queryable history, and resumes
+// interrupted jobs from their checkpointed cells.
 //
 // The store knows nothing about the engine's types: specs and results
 // cross this boundary as raw JSON, which keeps the dependency arrow

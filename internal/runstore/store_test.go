@@ -138,14 +138,14 @@ func TestDeleteAndMaxSeq(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.MaxSeq(); got != 10 {
-		t.Errorf("MaxSeq = %d, want 10", got)
+	if got := maxRunSeq(t, s); got != 10 {
+		t.Errorf("highest replayed run ID = %d, want 10", got)
 	}
 	if err := s.Delete("run-10"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.MaxSeq(); got != 2 {
-		t.Errorf("MaxSeq after delete = %d, want 2", got)
+	if got := maxRunSeq(t, s); got != 2 {
+		t.Errorf("highest replayed run ID after delete = %d, want 2", got)
 	}
 	if err := s.Delete("run-10"); err != nil {
 		t.Errorf("deleting a missing run: %v", err)

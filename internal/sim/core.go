@@ -157,9 +157,9 @@ type core struct {
 	// front, and re-credited if the warmup boundary zeroes the counters
 	// mid-idle.
 	idleFullStall bool
-	stats       CoreStats
-	lastRet     int64  // cycle of the most recent retirement (watchdog)
-	retiredEver uint64 // monotonic retirement count; survives warmup reset
+	stats         CoreStats
+	lastRet       int64  // cycle of the most recent retirement (watchdog)
+	retiredEver   uint64 // monotonic retirement count; survives warmup reset
 
 	monArmed bool
 	monAddr  int64

@@ -102,7 +102,7 @@ for _ in $(seq 1 150); do
   sleep 0.2
 done
 [ -n "$TOOK_OVER" ] || { echo "failover-smoke: node-b never took over" >&2; cat "$LOG_B" >&2; exit 1; }
-grep -q "interrupted runs resumed" "$LOG_B" \
+grep -q "interrupted jobs resumed" "$LOG_B" \
   || { echo "failover-smoke: node-b did not replay the store on promotion" >&2; cat "$LOG_B" >&2; exit 1; }
 
 # wmmctl rides out the window on the SAME shared address: the client

@@ -106,7 +106,7 @@ for round in 1 2; do
   CTL="$DATA/wmmctl -server http://${API[$LEAD]}"
   $CTL -timeout 60s ready \
     || { echo "fencing-smoke: new leader node-$LEAD API not ready" >&2; cat "$DATA/node-$LEAD.log" >&2; exit 1; }
-  grep -q "interrupted runs resumed" "$DATA/node-$LEAD.log" \
+  grep -q "interrupted jobs resumed" "$DATA/node-$LEAD.log" \
     || { echo "fencing-smoke: node-$LEAD promoted without replaying the store" >&2; cat "$DATA/node-$LEAD.log" >&2; exit 1; }
   start_node "$VICTIM"   # rejoin as standby for the next round
 done
