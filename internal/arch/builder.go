@@ -229,6 +229,16 @@ func (b *Builder) Append(prog Program) *Builder {
 	return b
 }
 
+// Reset empties the builder for the next program, keeping its buffers.
+// Programs already built do not share them.
+func (b *Builder) Reset() {
+	b.code = b.code[:0]
+	clear(b.labels)
+	b.fixups = b.fixups[:0]
+	b.site = 0
+	b.err = nil
+}
+
 // Err returns the first error recorded while building, if any.
 func (b *Builder) Err() error { return b.err }
 

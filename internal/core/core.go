@@ -75,9 +75,9 @@ func (c Calibration) Ns(iterations int64) float64 {
 // without the instruments knowing.
 type Measurer func(b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error)
 
-// measure dispatches through the Measurer, defaulting to direct
+// Measure dispatches through the Measurer, defaulting to direct
 // execution.
-func (m Measurer) measure(b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error) {
+func (m Measurer) Measure(b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error) {
 	if m == nil {
 		return workload.Measure(b, env, n, seed)
 	}
@@ -106,8 +106,6 @@ type ScanConfig struct {
 	Samples   int     // samples per point; 6 if zero (paper §4.1)
 	Seed      int64
 	Cal       Calibration
-	// Meas routes the scan's measurements; direct execution if nil.
-	Meas Measurer
 }
 
 // ScanPoint is one measured point of a scan.
@@ -134,12 +132,8 @@ func SensitivityScan(cfg ScanConfig) (ScanResult, error) {
 	return Session{}.SensitivityScan(cfg)
 }
 
-// SensitivityScan runs the §3 scan through the session's backend (the
-// config's own Meas, if set, takes precedence).
+// SensitivityScan runs the §3 scan through the session's backend.
 func (s Session) SensitivityScan(cfg ScanConfig) (ScanResult, error) {
-	if cfg.Meas == nil {
-		cfg.Meas = s.Meas
-	}
 	sizes := cfg.Sizes
 	if sizes == nil {
 		sizes = DefaultSizes
@@ -151,7 +145,7 @@ func (s Session) SensitivityScan(cfg ScanConfig) (ScanResult, error) {
 	if len(cfg.Cal.Curve) == 0 {
 		return ScanResult{}, fmt.Errorf("core: scan of %s missing calibration", cfg.Bench.Name)
 	}
-	base, err := cfg.Meas.measure(cfg.Bench, cfg.Env.NopBase(cfg.AllPaths), samples, cfg.Seed)
+	base, err := s.Meas.Measure(cfg.Bench, cfg.Env.NopBase(cfg.AllPaths), samples, cfg.Seed)
 	if err != nil {
 		return ScanResult{}, fmt.Errorf("core: base case of %s: %w", cfg.Bench.Name, err)
 	}
@@ -162,7 +156,7 @@ func (s Session) SensitivityScan(cfg ScanConfig) (ScanResult, error) {
 	pts := make([]fit.Point, 0, len(sizes))
 	for _, n := range sizes {
 		env := cfg.Env.WithCost(cfg.CostPaths, cfg.AllPaths, n)
-		sum, err := cfg.Meas.measure(cfg.Bench, env, samples, cfg.Seed)
+		sum, err := s.Meas.Measure(cfg.Bench, env, samples, cfg.Seed)
 		if err != nil {
 			return ScanResult{}, fmt.Errorf("core: %s at size %d: %w", cfg.Bench.Name, n, err)
 		}
@@ -210,11 +204,11 @@ func (s Session) FixedProbe(bench *workload.Benchmark, env workload.Env, path ar
 	if samples <= 0 {
 		samples = 6
 	}
-	base, err := s.Meas.measure(bench, env.NopBase(allPaths), samples, seed)
+	base, err := s.Meas.Measure(bench, env.NopBase(allPaths), samples, seed)
 	if err != nil {
 		return ProbeResult{}, fmt.Errorf("core: probe base of %s: %w", bench.Name, err)
 	}
-	test, err := s.Meas.measure(bench, env.WithCost([]arch.PathID{path}, allPaths, size), samples, seed)
+	test, err := s.Meas.Measure(bench, env.WithCost([]arch.PathID{path}, allPaths, size), samples, seed)
 	if err != nil {
 		return ProbeResult{}, fmt.Errorf("core: probe of %s path %d: %w", bench.Name, path, err)
 	}
@@ -244,7 +238,7 @@ func (s Session) Survey(benches []*workload.Benchmark, env workload.Env, paths [
 	}
 	out := make([]ProbeResult, 0, len(benches)*len(paths))
 	for _, b := range benches {
-		base, err := s.Meas.measure(b, env.NopBase(paths), samples, seed)
+		base, err := s.Meas.Measure(b, env.NopBase(paths), samples, seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: survey base of %s: %w", b.Name, err)
 		}
@@ -252,7 +246,7 @@ func (s Session) Survey(benches []*workload.Benchmark, env workload.Env, paths [
 			return nil, err
 		}
 		for _, p := range paths {
-			test, err := s.Meas.measure(b, env.WithCost([]arch.PathID{p}, paths, size), samples, seed)
+			test, err := s.Meas.Measure(b, env.WithCost([]arch.PathID{p}, paths, size), samples, seed)
 			if err != nil {
 				return nil, fmt.Errorf("core: survey of %s path %d: %w", b.Name, p, err)
 			}
@@ -300,11 +294,11 @@ func (s Session) CompareStrategies(bench *workload.Benchmark, envBase, envTest w
 	if samples <= 0 {
 		samples = 6
 	}
-	base, err := s.Meas.measure(bench, envBase.NopBase(allPaths), samples, seed)
+	base, err := s.Meas.Measure(bench, envBase.NopBase(allPaths), samples, seed)
 	if err != nil {
 		return stats.Comparative{}, fmt.Errorf("core: strategy base of %s: %w", bench.Name, err)
 	}
-	test, err := s.Meas.measure(bench, envTest.NopBase(allPaths), samples, seed)
+	test, err := s.Meas.Measure(bench, envTest.NopBase(allPaths), samples, seed)
 	if err != nil {
 		return stats.Comparative{}, fmt.Errorf("core: strategy test of %s: %w", bench.Name, err)
 	}

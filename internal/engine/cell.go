@@ -6,6 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/optimize"
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Cell is one unit of dispatched work: an experiment of a run, a shard
@@ -72,7 +74,9 @@ func (e *Engine) RunCell(ctx context.Context, kind string, desc []byte) (*Result
 		if err := json.Unmarshal(desc, &c); err != nil {
 			return nil, fmt.Errorf("undecodable optimize cell: %w", err)
 		}
-		return RunOptimizeCell(ctx, c)
+		return runOptimizeCell(ctx, c, func(b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error) {
+			return e.Measure(ctx, b, env, n, seed)
+		})
 	}
 	return nil, fmt.Errorf("unknown cell kind %q", kind)
 }

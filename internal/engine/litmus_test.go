@@ -211,3 +211,26 @@ func TestLitmusShardDeterminism(t *testing.T) {
 		t.Errorf("measurements/samples = %d/%d, want 5/15", a.Measurements, a.Samples)
 	}
 }
+
+// litmusShardAllocsBound is the object count testing.AllocsPerRun gave
+// for the shard in TestLitmusShardAllocs when Runner.Run built its own
+// machine and rebuilt every thread's program with a fresh builder on
+// every trial (Go 1.24, linux/amd64).  Sampling on the explorer's
+// harness, with one builder per machine, allocates about a third of it.
+const litmusShardAllocsBound = 65_329
+
+// TestLitmusShardAllocs bounds a sampled shard's allocations: 200
+// generated tests of 8 trials each on armv8.
+func TestLitmusShardAllocs(t *testing.T) {
+	sh := LitmusShard{Arch: "armv8", GenSeed: 1, Count: 200, MaxThreads: 4, Trials: 8, Seed: 1, Hi: 200}
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := RunLitmusShard(context.Background(), sh)
+		if err != nil || res.Status != StatusOK {
+			t.Fatalf("shard: %v (%+v)", err, res)
+		}
+	})
+	t.Logf("%.0f objects allocated (bound %d)", allocs, litmusShardAllocsBound)
+	if allocs > litmusShardAllocsBound {
+		t.Errorf("sampled shard allocated %.0f objects, above %d", allocs, litmusShardAllocsBound)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/optimize"
 )
 
@@ -66,13 +67,22 @@ func OptimizeCellKey(cell optimize.Cell) (string, error) {
 	return fmt.Sprintf("%x", sum), nil
 }
 
-// RunOptimizeCell executes one optimizer cell, returning its outcome as
-// a Result whose Output is the cell result's canonical JSON.  The error
-// return is reserved for protocol-level mismatches (malformed cell or
-// spec); execution failures — an exploration that exceeds its budget, a
-// measurement error — are contained in the Result, exactly as for
-// experiment jobs and litmus shards.
+// RunOptimizeCell executes one optimizer cell in the calling process,
+// returning its outcome as a Result whose Output is the cell result's
+// canonical JSON.  Its samples run through workload.Measure;
+// Engine.RunCell runs the same cell with its samples on the engine's
+// pool.  The error return is reserved for protocol-level mismatches
+// (malformed cell or spec); execution failures — an exploration that
+// exceeds its budget, a measurement error — are contained in the
+// Result, exactly as for experiment jobs and litmus shards.
 func RunOptimizeCell(ctx context.Context, cell optimize.Cell) (*Result, error) {
+	return runOptimizeCell(ctx, cell, nil)
+}
+
+// runOptimizeCell is RunOptimizeCell measuring through meas.  A
+// measurement cut short by cancellation yields a cancelled Result, as an
+// experiment's does.
+func runOptimizeCell(ctx context.Context, cell optimize.Cell, meas core.Measurer) (*Result, error) {
 	sp := cell.Spec.WithDefaults()
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -91,10 +101,13 @@ func RunOptimizeCell(ctx context.Context, cell optimize.Cell) (*Result, error) {
 		res.Err = err.Error()
 		return res, nil
 	}
-	cr, err := optimize.RunCell(cell)
+	cr, err := optimize.RunCell(cell, meas)
 	if err != nil {
 		res.Status = StatusFailed
 		res.Err = err.Error()
+		if res.Canceled() {
+			res.Status = StatusCancelled
+		}
 		return res, nil
 	}
 	raw, err := json.MarshalIndent(cr, "", "  ")

@@ -23,7 +23,13 @@ func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
 
 func newTestServerOpts(t *testing.T, o ServerOptions) (*httptest.Server, *Server, *Engine) {
 	t.Helper()
-	eng := New(Options{Workers: 2})
+	return newTestServerEngine(t, Options{Workers: 2}, o)
+}
+
+// newTestServerEngine is newTestServerOpts over an engine built from eo.
+func newTestServerEngine(t *testing.T, eo Options, o ServerOptions) (*httptest.Server, *Server, *Engine) {
+	t.Helper()
+	eng := New(eo)
 	t.Cleanup(eng.Close)
 	api := NewServer(eng, o)
 	// Cleanups run LIFO: drain HTTP, cancel + wait for runs, close the

@@ -25,24 +25,45 @@ import (
 
 // Runtime is the measurement backend a driver runs against.  The engine
 // implements it with a worker pool and a process-wide calibration cache;
-// a nil Runtime executes directly in-process.
+// a nil Runtime executes sequentially in-process (see sequential).
 type Runtime interface {
 	// Measure runs n samples of bench under env and summarises them.
 	Measure(ctx context.Context, b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error)
+	// MeasureAdaptive samples bench until the stopping rule is met.
+	MeasureAdaptive(ctx context.Context, b *workload.Benchmark, env workload.Env, rule stats.StopRule, seed int64) (stats.Summary, error)
 	// Calibration returns the Figure 4 curve for the profile over the
 	// given sizes, possibly from a cache.
 	Calibration(ctx context.Context, prof *arch.Profile, sizes []int64, seed int64) (core.Calibration, error)
 }
 
-// AdaptiveRuntime is optionally implemented by runtimes that support
-// sequential stopping natively (the engine does, batching through its
-// worker pool).  Runtimes without it still honour adaptive options — the
-// drivers fall back to re-measuring at the rule's growth schedule, which
-// positional seeding makes byte-identical, just less efficient.
-type AdaptiveRuntime interface {
-	Runtime
-	// MeasureAdaptive samples bench until the stopping rule is met.
-	MeasureAdaptive(ctx context.Context, b *workload.Benchmark, env workload.Env, rule stats.StopRule, seed int64) (stats.Summary, error)
+// sequential is the Runtime a nil Options.RT stands for: every sample
+// and calibration runs directly in the calling process.
+type sequential struct{}
+
+func (sequential) Measure(ctx context.Context, b *workload.Benchmark, env workload.Env, n int, seed int64) (stats.Summary, error) {
+	if err := ctx.Err(); err != nil {
+		return stats.Summary{}, err
+	}
+	return workload.Measure(b, env, n, seed)
+}
+
+// MeasureAdaptive re-measures at the rule's deterministic growth
+// schedule, which positional seeding makes value-identical to the
+// engine's incrementally extended buffer (the first k samples of an
+// n-sample measurement are the same for every n).
+func (s sequential) MeasureAdaptive(ctx context.Context, b *workload.Benchmark, env workload.Env, rule stats.StopRule, seed int64) (sum stats.Summary, err error) {
+	for n := rule.MinSamples; ; n = rule.Next(n) {
+		if sum, err = s.Measure(ctx, b, env, n, seed); err != nil || rule.Done(sum) {
+			return sum, err
+		}
+	}
+}
+
+func (sequential) Calibration(ctx context.Context, prof *arch.Profile, sizes []int64, seed int64) (core.Calibration, error) {
+	if err := ctx.Err(); err != nil {
+		return core.Calibration{}, err
+	}
+	return core.Calibrate(prof, sizes, seed)
 }
 
 // FitRecord is one fitted sensitivity produced by a driver, collected for
@@ -78,7 +99,7 @@ type Options struct {
 	// Ctx cancels the run between measurements; context.Background()
 	// if nil.
 	Ctx context.Context
-	// RT is the measurement backend; direct in-process execution if
+	// RT is the measurement backend; sequential in-process execution if
 	// nil.
 	RT Runtime
 	// Collect, when non-nil, receives the run's structured artefacts
@@ -131,6 +152,13 @@ func (o Options) sizes() []int64 {
 	return []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 }
 
+func (o Options) rt() Runtime {
+	if o.RT != nil {
+		return o.RT
+	}
+	return sequential{}
+}
+
 // measurer adapts the runtime into the methodology's Measurer, counting
 // issued work into the collector.  When Adaptive is set it supersedes the
 // fixed sample count n on every measurement the drivers issue.
@@ -143,45 +171,18 @@ func (o Options) measurer() core.Measurer {
 			o.Collect.Measurements++
 			o.Collect.Samples += n
 		}
-		if o.RT != nil {
-			return o.RT.Measure(o.ctx(), b, env, n, seed)
-		}
-		if err := o.ctx().Err(); err != nil {
-			return stats.Summary{}, err
-		}
-		return workload.Measure(b, env, n, seed)
+		return o.rt().Measure(o.ctx(), b, env, n, seed)
 	}
 }
 
-// measureAdaptive runs one measurement under the sequential stopping rule.
-// The engine's native path incrementally extends one sample buffer; the
-// fallbacks re-measure at the rule's deterministic growth schedule, which
-// positional seeding makes value-identical (the first k samples of an
-// n-sample measurement are the same for every n).  Samples are counted
-// into the collector at the achieved N, which is how adaptive savings
-// become visible in run records.
+// measureAdaptive runs one measurement under the sequential stopping
+// rule.  Samples are counted into the collector at the achieved N, which
+// is how adaptive savings become visible in run records.
 func (o Options) measureAdaptive(b *workload.Benchmark, env workload.Env, seed int64) (stats.Summary, error) {
-	rule := o.Adaptive.WithDefaults()
 	if o.Collect != nil {
 		o.Collect.Measurements++
 	}
-	var sum stats.Summary
-	var err error
-	switch rt := o.RT.(type) {
-	case AdaptiveRuntime:
-		sum, err = rt.MeasureAdaptive(o.ctx(), b, env, rule, seed)
-	default:
-		for n := rule.MinSamples; ; n = rule.Next(n) {
-			if o.RT != nil {
-				sum, err = o.RT.Measure(o.ctx(), b, env, n, seed)
-			} else if err = o.ctx().Err(); err == nil {
-				sum, err = workload.Measure(b, env, n, seed)
-			}
-			if err != nil || rule.Done(sum) {
-				break
-			}
-		}
-	}
+	sum, err := o.rt().MeasureAdaptive(o.ctx(), b, env, o.Adaptive.WithDefaults(), seed)
 	if err == nil && o.Collect != nil {
 		o.Collect.Samples += sum.N
 	}
@@ -194,22 +195,15 @@ func (o Options) measure(b *workload.Benchmark, env workload.Env) (stats.Summary
 }
 
 // calibration returns the Figure 4 curve for the profile over sizes,
-// through the runtime's cache when one is attached.
+// through the runtime's cache when it has one.
 func (o Options) calibration(prof *arch.Profile, sizes []int64) (core.Calibration, error) {
-	if o.RT != nil {
-		return o.RT.Calibration(o.ctx(), prof, sizes, o.seed())
-	}
-	if err := o.ctx().Err(); err != nil {
-		return core.Calibration{}, err
-	}
-	return core.Calibrate(prof, sizes, o.seed())
+	return o.rt().Calibration(o.ctx(), prof, sizes, o.seed())
 }
 
 // scan runs a sensitivity scan through the runtime and records the fitted
 // sensitivity in the collector.
 func (o Options) scan(cfg core.ScanConfig) (core.ScanResult, error) {
-	cfg.Meas = o.measurer()
-	res, err := core.SensitivityScan(cfg)
+	res, err := core.Session{Meas: o.measurer()}.SensitivityScan(cfg)
 	if err == nil && o.Collect != nil {
 		o.Collect.Fits = append(o.Collect.Fits, FitRecord{
 			Profile: cfg.Env.Prof.Name,

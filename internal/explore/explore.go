@@ -97,10 +97,10 @@ type Spec struct {
 	Prof *arch.Profile
 	// Threads is the number of hardware threads.
 	Threads int
-	// Build returns thread's program given its alignment stagger (the
-	// number of delay-loop iterations to insert; 0 = none).  It must be
-	// deterministic.
-	Build func(thread int, stagger int64) (arch.Program, error)
+	// Build emits thread's program into b, an empty builder, given its
+	// alignment stagger (the number of delay-loop iterations to insert;
+	// 0 = none).  It must be deterministic.
+	Build func(b *arch.Builder, thread int, stagger int64)
 	// Init seeds memory before each run.
 	Init map[int64]int64
 	// PreTouch marks lines resident in the outer hierarchy.
@@ -338,18 +338,88 @@ func (c *controller) IntChoice(ch sim.Choice) int64 {
 	return c.choose(domain, &ch)
 }
 
+// Harness runs a Spec's threads on one machine.  It is the one place a
+// litmus program meets the simulator: exploring starts every run with a
+// controlling ChoiceSource, and sampling (internal/litmus) with the
+// machine's own seeded RNGs and alignments it draws itself.  Each
+// thread's program is built at most once per (thread, stagger).
+type Harness struct {
+	sp    Spec
+	m     *sim.Machine
+	b     *arch.Builder // reset for every program built
+	progs map[[2]int64]arch.Program
+}
+
+// NewHarness fills sp's defaults and builds its machine.
+func NewHarness(sp Spec) (*Harness, error) {
+	if sp.Threads < 1 {
+		return nil, fmt.Errorf("explore: Spec.Threads must be positive")
+	}
+	if sp.Build == nil {
+		return nil, fmt.Errorf("explore: Spec.Build is required")
+	}
+	if sp.MemWords <= 0 {
+		sp.MemWords = 4096
+	}
+	if sp.MaxCyclesPerRun <= 0 {
+		sp.MaxCyclesPerRun = 1_000_000
+	}
+	if len(sp.Stagger) == 0 {
+		sp.Stagger = DefaultStagger(sp.Threads)
+	}
+	m, err := sim.New(sp.Prof, sim.Config{Cores: sp.Threads, MemWords: sp.MemWords, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	return &Harness{sp: sp, m: m, b: arch.NewBuilder(), progs: map[[2]int64]arch.Program{}}, nil
+}
+
+// Machine returns the harness's machine: the caller runs it after Start
+// and reads the final state from it.
+func (h *Harness) Machine() *sim.Machine { return h.m }
+
+// Start prepares one run: it resets the machine to seed with src
+// installed (nil leaves every choice to the machine's seeded RNGs),
+// writes Init, warms the PreTouch lines and loads each thread th's
+// program at alignment staggers[th].
+func (h *Harness) Start(seed int64, src sim.ChoiceSource, staggers []int64) error {
+	h.m.Reset(seed)
+	h.m.SetChoiceSource(src)
+	for addr, val := range h.sp.Init {
+		h.m.WriteMem(addr, val)
+	}
+	for _, a := range h.sp.PreTouch {
+		h.m.PreTouch(a)
+	}
+	for th, st := range staggers {
+		key := [2]int64{int64(th), st}
+		prog, ok := h.progs[key]
+		if !ok {
+			h.b.Reset()
+			h.sp.Build(h.b, th, st)
+			var err error
+			if prog, err = h.b.Build(); err != nil {
+				return fmt.Errorf("thread %d: %w", th, err)
+			}
+			h.progs[key] = prog
+		}
+		if err := h.m.LoadProgram(th, prog); err != nil {
+			return fmt.Errorf("thread %d: %w", th, err)
+		}
+	}
+	return nil
+}
+
 type explorer struct {
-	sp *Spec
-	m  *sim.Machine
+	*Harness
 	// visited maps each explored state fingerprint to the combine sleep
 	// masks it was explored under (see covered).
 	visited map[uint64][]uint64
-	// progs caches built programs per (thread, stagger).
-	progs map[[2]int64]arch.Program
-	// picks and recs keep the capacity of the last run's choice
-	// records, so runs do not regrow them from empty.
-	picks []int
-	recs  []choiceRec
+	// picks, recs and staggers keep the capacity of the last run's
+	// buffers, so runs do not regrow them from empty.
+	picks    []int
+	recs     []choiceRec
+	staggers []int64
 }
 
 // Explore enumerates the reachable outcomes of sp.
@@ -435,34 +505,14 @@ func Replay(sp Spec, picks []int, tracer sim.Tracer) error {
 var replayMode = struct{}{}
 
 func newExplorer(sp *Spec) (*explorer, error) {
-	if sp.Threads < 1 {
-		return nil, fmt.Errorf("explore: Spec.Threads must be positive")
-	}
-	if sp.Build == nil {
-		return nil, fmt.Errorf("explore: Spec.Build is required")
-	}
 	if len(sp.Watch) == 0 {
 		return nil, fmt.Errorf("explore: Spec.Watch is empty")
 	}
-	if sp.MemWords <= 0 {
-		sp.MemWords = 4096
-	}
-	if sp.MaxCyclesPerRun <= 0 {
-		sp.MaxCyclesPerRun = 1_000_000
-	}
-	if len(sp.Stagger) == 0 {
-		sp.Stagger = DefaultStagger(sp.Threads)
-	}
-	m, err := sim.New(sp.Prof, sim.Config{Cores: sp.Threads, MemWords: sp.MemWords, Seed: 1})
+	h, err := NewHarness(*sp)
 	if err != nil {
 		return nil, err
 	}
-	return &explorer{
-		sp:      sp,
-		m:       m,
-		visited: map[uint64][]uint64{},
-		progs:   map[[2]int64]arch.Program{},
-	}, nil
+	return &explorer{Harness: h, visited: map[uint64][]uint64{}}, nil
 }
 
 // covered reports whether state fp, reached with combine sleep mask
@@ -485,7 +535,7 @@ func (x *explorer) covered(fp, slept uint64) bool {
 // returned controller's picks and recs reuse the explorer's buffers:
 // they are valid until the next execute.
 func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) {
-	sp := x.sp
+	sp := &x.sp
 	ctl := &controller{
 		x:         x,
 		prefix:    prefix,
@@ -498,35 +548,16 @@ func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) 
 
 	// Alignment: one virtual choice per thread, made before the machine
 	// starts (no machine state to dedup against).
-	staggers := make([]int64, sp.Threads)
+	staggers := x.staggers[:0]
 	for th := 0; th < sp.Threads; th++ {
-		staggers[th] = ctl.choose(sp.Stagger, nil)
+		staggers = append(staggers, ctl.choose(sp.Stagger, nil))
 	}
+	x.staggers = staggers
 
 	// The machine's rngs are never consulted while a source is
-	// installed, so the Reset seed is immaterial; keep it fixed.
-	x.m.Reset(1)
-	x.m.SetChoiceSource(ctl)
-	for addr, val := range sp.Init {
-		x.m.WriteMem(addr, val)
-	}
-	for _, a := range sp.PreTouch {
-		x.m.PreTouch(a)
-	}
-	for th := 0; th < sp.Threads; th++ {
-		key := [2]int64{int64(th), staggers[th]}
-		prog, ok := x.progs[key]
-		if !ok {
-			var err error
-			prog, err = sp.Build(th, staggers[th])
-			if err != nil {
-				return nil, fmt.Errorf("build thread %d stagger %d: %w", th, staggers[th], err)
-			}
-			x.progs[key] = prog
-		}
-		if err := x.m.LoadProgram(th, prog); err != nil {
-			return nil, err
-		}
+	// installed, so the seed is immaterial; keep it fixed.
+	if err := x.Start(1, ctl, staggers); err != nil {
+		return nil, err
 	}
 	res, err := x.m.Run(sp.MaxCyclesPerRun)
 	if err != nil {

@@ -24,12 +24,11 @@ func sbSpec(prof *arch.Profile, fence arch.BarrierKind) Spec {
 	return Spec{
 		Prof:    prof,
 		Threads: 2,
-		Build: func(thread int, stagger int64) (arch.Program, error) {
+		Build: func(b *arch.Builder, thread int, stagger int64) {
 			myAddr, otherAddr, res := addrX, addrY, res0
 			if thread == 1 {
 				myAddr, otherAddr, res = addrY, addrX, res1
 			}
-			b := arch.NewBuilder()
 			if stagger > 0 {
 				b.MovImm(27, stagger)
 				b.Label("delay")
@@ -44,7 +43,6 @@ func sbSpec(prof *arch.Profile, fence arch.BarrierKind) Spec {
 			b.Load(3, 1, otherAddr)
 			b.Store(3, 1, res)
 			b.Halt()
-			return b.Build()
 		},
 		Interesting: []int64{addrX, addrY},
 		Watch:       []int64{res0, res1},
@@ -208,9 +206,7 @@ func TestMaxRunsTruncation(t *testing.T) {
 // TestSpecValidation covers the constructor's error paths.
 func TestSpecValidation(t *testing.T) {
 	prof := arch.ARMv8()
-	build := func(int, int64) (arch.Program, error) {
-		return arch.NewBuilder().Halt().Build()
-	}
+	build := func(b *arch.Builder, _ int, _ int64) { b.Halt() }
 	cases := []struct {
 		name string
 		sp   Spec
@@ -239,8 +235,7 @@ func TestMessagePassingAddrDep(t *testing.T) {
 			return Spec{
 				Prof:    prof,
 				Threads: 2,
-				Build: func(thread int, stagger int64) (arch.Program, error) {
-					b := arch.NewBuilder()
+				Build: func(b *arch.Builder, thread int, stagger int64) {
 					if stagger > 0 {
 						b.MovImm(27, stagger)
 						b.Label("delay")
@@ -265,7 +260,6 @@ func TestMessagePassingAddrDep(t *testing.T) {
 						b.Store(3, 1, res1)
 					}
 					b.Halt()
-					return b.Build()
 				},
 				Interesting: []int64{addrX, addrY},
 				Watch:       []int64{res0, res1},

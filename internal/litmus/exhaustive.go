@@ -3,7 +3,7 @@ package litmus
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/explore"
@@ -72,21 +72,18 @@ func (rep *ExhaustiveReport) WriteWitness(o *ExhaustiveOutcome, w io.Writer) err
 // outcomes: the shared locations, every initialised address, and each
 // thread's first four result slots (the catalogue records at most two).
 func WatchedAddrs(t *Test) []int64 {
-	set := map[int64]struct{}{X: {}, Y: {}, Z: {}}
+	addrs := make([]int64, 0, len(sharedLines)+len(t.Init)+4*len(t.Threads))
+	addrs = append(addrs, sharedLines...)
 	for a := range t.Init {
-		set[a] = struct{}{}
+		addrs = append(addrs, a)
 	}
 	for th := range t.Threads {
 		for i := 0; i < 4; i++ {
-			set[ResultAddr(th, i)] = struct{}{}
+			addrs = append(addrs, ResultAddr(th, i))
 		}
 	}
-	addrs := make([]int64, 0, len(set))
-	for a := range set {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
+	slices.Sort(addrs)
+	return slices.Compact(addrs)
 }
 
 // staggerLadder is the geometric menu of alignment offsets (delay-loop
@@ -124,11 +121,19 @@ func staggerDomain(threads int, maxDelay int64) []int64 {
 	return out
 }
 
-// exhaustiveSpec translates a litmus test into an exploration spec,
-// mirroring Run's program construction (setup, alignment delay loop,
-// body, halt) with the explorer's stagger domain standing in for the
-// sampled delays.
-func (r *Runner) exhaustiveSpec(t *Test) explore.Spec {
+// sharedLines are the catalogue's shared locations, and the only
+// addresses whose timing choices the explorer branches.  Litmus runs race
+// on warmed memory: the lines are already resident in the outer
+// hierarchy, so priming loads and first observations cost cache-to-cache
+// latency, not DRAM.
+var sharedLines = []int64{X, Y, Z}
+
+// spec compiles a litmus test into the explorer's Spec, the one program
+// construction (setup, alignment delay loop, body, halt) that Run
+// samples, Exhaustive explores and WriteWitness replays.  It also returns
+// the test's alignment-delay bound: Run draws each thread's delay below
+// it, and the explorer's stagger domain brackets it.
+func (r *Runner) spec(t *Test) (explore.Spec, int64) {
 	prof := r.Prof
 	if t.StressProp {
 		stressed := *prof
@@ -146,9 +151,8 @@ func (r *Runner) exhaustiveSpec(t *Test) explore.Spec {
 	return explore.Spec{
 		Prof:    prof,
 		Threads: len(t.Threads),
-		Build: func(thread int, stagger int64) (arch.Program, error) {
+		Build: func(b *arch.Builder, thread int, stagger int64) {
 			th := t.Threads[thread]
-			b := arch.NewBuilder()
 			if th.Setup != nil {
 				th.Setup(b)
 			}
@@ -160,15 +164,14 @@ func (r *Runner) exhaustiveSpec(t *Test) explore.Spec {
 			}
 			th.Body(b)
 			b.Halt()
-			return b.Build()
 		},
 		Init:        t.Init,
-		PreTouch:    []int64{X, Y, Z},
-		Interesting: []int64{X, Y, Z},
+		PreTouch:    sharedLines,
+		Interesting: sharedLines,
 		Watch:       WatchedAddrs(t),
 		Stagger:     staggerDomain(len(t.Threads), maxDelay),
 		MemWords:    4096,
-	}
+	}, maxDelay
 }
 
 // Exhaustive enumerates the reachable outcomes of t.  With
@@ -176,23 +179,14 @@ func (r *Runner) exhaustiveSpec(t *Test) explore.Spec {
 // satisfies the precondition and exhibits the relaxed behaviour (a
 // reachability check); otherwise the reduced tree is exhausted.
 func (r *Runner) Exhaustive(t *Test, stopOnRelaxed bool) (*ExhaustiveReport, error) {
-	sp := r.exhaustiveSpec(t)
-	classify := func(vals []int64) (hit, relaxed bool) {
-		mem := func(addr int64) int64 {
-			for i, a := range sp.Watch {
-				if a == addr {
-					return vals[i]
-				}
-			}
-			return 0
-		}
-		hit = t.Hit == nil || t.Hit(mem)
-		relaxed = t.Relaxed(mem)
-		return hit, relaxed
+	sp, _ := r.spec(t)
+	classify := func(o *explore.Outcome) (hit, relaxed bool) {
+		mem := o.Mem(&sp)
+		return t.Hit == nil || t.Hit(mem), t.Relaxed(mem)
 	}
 	if stopOnRelaxed {
 		sp.StopOutcome = func(vals []int64) bool {
-			hit, relaxed := classify(vals)
+			hit, relaxed := classify(&explore.Outcome{Values: vals})
 			return hit && relaxed
 		}
 	}
@@ -207,8 +201,9 @@ func (r *Runner) Exhaustive(t *Test, stopOnRelaxed bool) (*ExhaustiveReport, err
 		Complete: erep.Complete,
 		spec:     sp,
 	}
-	for _, o := range erep.Outcomes {
-		hit, relaxed := classify(o.Values)
+	for i := range erep.Outcomes {
+		o := &erep.Outcomes[i]
+		hit, relaxed := classify(o)
 		rep.Outcomes = append(rep.Outcomes, ExhaustiveOutcome{
 			Key:     o.Key,
 			Values:  o.Values,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/explore"
 	"repro/internal/sim"
 )
 
@@ -121,7 +122,10 @@ type Runner struct {
 // delayReg is scratch for the alignment delay loop.
 const delayReg arch.Reg = 27
 
-// Run executes the test and returns outcome counts.
+// Run samples the test: each trial draws one alignment delay per thread
+// and runs the explorer's harness (see Runner.spec) on the machine's own
+// seeded RNGs, and the outcome counts how often the precondition and the
+// relaxed behaviour showed up.
 func (r *Runner) Run(t *Test) (Outcome, error) {
 	trials := r.Trials
 	if trials <= 0 {
@@ -135,77 +139,27 @@ func (r *Runner) Run(t *Test) (Outcome, error) {
 			trials = 1
 		}
 	}
-	maxDelay := r.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 120
-	}
-	if t.MaxDelay > 0 {
-		maxDelay = t.MaxDelay
-	}
 	seed := r.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	var out Outcome
-	rnd := sim.NewXorShift64(uint64(seed)*0x9e3779b9 + 1)
-	next := func() int64 { return rnd.Intn(maxDelay) }
-
-	prof := r.Prof
-	if t.StressProp {
-		stressed := *prof
-		stressed.Lat.PropTail = 300
-		stressed.Lat.PropMax = prof.Lat.PropMax + 32
-		prof = &stressed
+	sp, maxDelay := r.spec(t)
+	h, err := explore.NewHarness(sp)
+	if err != nil {
+		return out, err
 	}
-	// One machine serves every trial: the configuration is constant across
-	// trials, so Reset (bit-identical to fresh construction) replaces the
-	// per-trial rebuild that used to dominate campaign time.
-	var m *sim.Machine
+	m := h.Machine()
+	mem := m.ReadMem
+	rnd := sim.NewXorShift64(uint64(seed)*0x9e3779b9 + 1)
+	delays := make([]int64, len(t.Threads))
 	for trial := 0; trial < trials; trial++ {
-		trialSeed := seed + int64(trial)*7919
-		if m == nil {
-			var err error
-			m, err = sim.New(prof, sim.Config{
-				Cores:    len(t.Threads),
-				MemWords: 4096,
-				Seed:     trialSeed,
-			})
-			if err != nil {
-				return out, err
-			}
-		} else {
-			m.Reset(trialSeed)
+		for i := range delays {
+			delays[i] = rnd.Intn(maxDelay)
 		}
-		for addr, val := range t.Init {
-			m.WriteMem(addr, val)
-		}
-		// Litmus runs race on warmed memory: the shared locations are
-		// already resident in the outer hierarchy, so priming loads and
-		// first observations cost cache-to-cache latency, not DRAM.
-		for _, a := range []int64{X, Y, Z} {
-			m.PreTouch(a)
-		}
-		for i, th := range t.Threads {
-			b := arch.NewBuilder()
-			if th.Setup != nil {
-				th.Setup(b)
-			}
-			if d := next(); d > 0 {
-				b.MovImm(delayReg, d)
-				b.Label("litmus_delay")
-				b.SubsImm(delayReg, delayReg, 1)
-				b.Bne("litmus_delay")
-			}
-			th.Body(b)
-			b.Halt()
-			prog, err := b.Build()
-			if err != nil {
-				return out, fmt.Errorf("litmus %s thread %d: %w", t.Name, i, err)
-			}
-			m.SetReg(i, Base, 0)
-			if err := m.LoadProgram(i, prog); err != nil {
-				return out, err
-			}
+		// Start's error names the thread: "litmus <name> thread <i>: ...".
+		if err := h.Start(seed+int64(trial)*7919, nil, delays); err != nil {
+			return out, fmt.Errorf("litmus %s %w", t.Name, err)
 		}
 		res, err := m.Run(4_000_000)
 		if err != nil {
@@ -216,13 +170,13 @@ func (r *Runner) Run(t *Test) (Outcome, error) {
 		}
 		out.Trials++
 		if r.Observe != nil {
-			r.Observe(m.ReadMem)
+			r.Observe(mem)
 		}
-		if t.Hit != nil && !t.Hit(m.ReadMem) {
+		if t.Hit != nil && !t.Hit(mem) {
 			continue
 		}
 		out.Hits++
-		if t.Relaxed(m.ReadMem) {
+		if t.Relaxed(mem) {
 			out.Relaxed++
 		}
 	}

@@ -13,7 +13,9 @@ import "repro/internal/arch"
 // deviations (LB relaxation and spin-loop MP on the MCA profile are not
 // exhibited, like most real implementations).
 
-func primeLines(addrs ...int64) func(*arch.Builder) {
+// PrimeLines returns a Thread.Setup that loads each address once, so the
+// test's races start on warmed lines.
+func PrimeLines(addrs ...int64) func(*arch.Builder) {
 	return func(b *arch.Builder) {
 		for _, a := range addrs {
 			b.Load(26, Base, a)
@@ -56,7 +58,7 @@ const (
 // primed so the data load can satisfy quickly relative to a missing flag.
 func mpReader(kind readerKind, fence arch.BarrierKind) Thread {
 	return Thread{
-		Setup: primeLines(X),
+		Setup: PrimeLines(X),
 		Body: func(b *arch.Builder) {
 			if kind == rdAcquire {
 				b.LoadAcq(2, Base, Y)
@@ -93,18 +95,27 @@ func mpReader(kind readerKind, fence arch.BarrierKind) Thread {
 	}
 }
 
-func mpRelaxed(mem func(int64) int64) bool {
+// MPRelaxed is the message-passing violation: the reader (thread 1) saw
+// the flag but not the data it guards.
+func MPRelaxed(mem func(int64) int64) bool {
 	return mem(ResultAddr(1, 0)) == 1 && mem(ResultAddr(1, 1)) == 0
 }
 
-func mpHit(mem func(int64) int64) bool { return mem(ResultAddr(1, 0)) == 1 }
+// MPHit is the message-passing precondition: the reader saw the flag.
+func MPHit(mem func(int64) int64) bool { return mem(ResultAddr(1, 0)) == 1 }
+
+// SBRelaxed is the store-buffering (Dekker) violation: both threads read
+// the other's location as 0.
+func SBRelaxed(mem func(int64) int64) bool {
+	return mem(ResultAddr(0, 0)) == 0 && mem(ResultAddr(1, 0)) == 0
+}
 
 func mpTest(name string, w, r Thread, expect map[string]Expectation) *Test {
 	return &Test{
 		Name:    name,
 		Threads: []Thread{w, r},
-		Relaxed: mpRelaxed,
-		Hit:     mpHit,
+		Relaxed: MPRelaxed,
+		Hit:     MPHit,
 		Expect:  expect,
 	}
 }
@@ -124,7 +135,7 @@ func powerOnly(e Expectation) map[string]Expectation {
 // sbThread emits: mine=1; <fence>; r2 = other; record r2.
 func sbThread(t int, mine, other int64, fence arch.BarrierKind) Thread {
 	return Thread{
-		Setup: primeLines(mine, other),
+		Setup: PrimeLines(mine, other),
 		Body: func(b *arch.Builder) {
 			b.MovImm(2, 1)
 			b.Store(2, Base, mine)
@@ -140,7 +151,7 @@ func sbThread(t int, mine, other int64, fence arch.BarrierKind) Thread {
 // the SB relaxation on ARMv8.
 func sbThreadRelAcq(t int, mine, other int64) Thread {
 	return Thread{
-		Setup: primeLines(mine, other),
+		Setup: PrimeLines(mine, other),
 		Body: func(b *arch.Builder) {
 			b.MovImm(2, 1)
 			b.StoreRel(2, Base, mine)
@@ -154,10 +165,8 @@ func sbTest(name string, fence0, fence1 arch.BarrierKind, expect map[string]Expe
 	return &Test{
 		Name:    name,
 		Threads: []Thread{sbThread(0, X, Y, fence0), sbThread(1, Y, X, fence1)},
-		Relaxed: func(mem func(int64) int64) bool {
-			return mem(ResultAddr(0, 0)) == 0 && mem(ResultAddr(1, 0)) == 0
-		},
-		Expect: expect,
+		Relaxed: SBRelaxed,
+		Expect:  expect,
 	}
 }
 
@@ -165,7 +174,7 @@ func sbTest(name string, fence0, fence1 arch.BarrierKind, expect map[string]Expe
 // dependency through r2) stores Y = r2.
 func wrcT2(fence arch.BarrierKind) Thread {
 	return Thread{
-		Setup: primeLines(X),
+		Setup: PrimeLines(X),
 		Body: func(b *arch.Builder) {
 			b.Label("wrc_spin")
 			b.Load(2, Base, X)
@@ -181,7 +190,7 @@ func wrcT2(fence arch.BarrierKind) Thread {
 // dependency on the observed value and records both observations.
 func wrcT3() Thread {
 	return Thread{
-		Setup: primeLines(X, Y),
+		Setup: PrimeLines(X, Y),
 		Body: func(b *arch.Builder) {
 			b.Label("wrc_t3_spin")
 			b.Load(3, Base, Y)
@@ -217,7 +226,7 @@ func wrcTest(name string, t2fence arch.BarrierKind, expect map[string]Expectatio
 // second and records both observations.
 func iriwReader(t int, first, second int64, kind readerKind, fence arch.BarrierKind) Thread {
 	return Thread{
-		Setup: primeLines(first, second),
+		Setup: PrimeLines(first, second),
 		Body: func(b *arch.Builder) {
 			b.Label("iriw_spin")
 			b.Load(2, Base, first)
@@ -295,10 +304,8 @@ func Suite(profile string) []*Test {
 	add(&Test{
 		Name:    "SB+rel+acq",
 		Threads: []Thread{sbThreadRelAcq(0, X, Y), sbThreadRelAcq(1, Y, X)},
-		Relaxed: func(mem func(int64) int64) bool {
-			return mem(ResultAddr(0, 0)) == 0 && mem(ResultAddr(1, 0)) == 0
-		},
-		Expect: armOnly(Forbidden),
+		Relaxed: SBRelaxed,
+		Expect:  armOnly(Forbidden),
 	})
 	add(sbTest("SB+sync+sync", arch.HwSync, arch.HwSync, powerOnly(Forbidden)))
 	// lwsync does not order store→load: SB stays observable.
@@ -310,7 +317,7 @@ func Suite(profile string) []*Test {
 		Threads: []Thread{
 			{Body: func(b *arch.Builder) { b.MovImm(2, 1); b.Store(2, Base, X) }},
 			{
-				Setup: primeLines(X),
+				Setup: PrimeLines(X),
 				Body: func(b *arch.Builder) {
 					b.Load(2, Base, X)
 					b.Load(3, Base, X)
@@ -397,7 +404,7 @@ func Suite(profile string) []*Test {
 					b.Store(2, Base, Y)
 				}},
 				{
-					Setup: primeLines(X, Y),
+					Setup: PrimeLines(X, Y),
 					Body: func(b *arch.Builder) {
 						b.MovImm(2, 2)
 						b.Store(2, Base, Y)
@@ -434,7 +441,7 @@ func Suite(profile string) []*Test {
 					b.Store(3, Base, Y)
 				}},
 				{
-					Setup: primeLines(X, Y),
+					Setup: PrimeLines(X, Y),
 					Body: func(b *arch.Builder) {
 						b.Load(2, Base, Y)
 						b.MovImm(3, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/platform/c11"
 	"repro/internal/platform/jvm"
 	"repro/internal/platform/kernel"
@@ -139,8 +140,9 @@ func (sp Spec) benchmark() (*workload.Benchmark, error) {
 
 // RunCell executes one cell.  The result is a deterministic function of
 // the cell descriptor: gate cells explore exhaustively with the spec seed,
-// measurement cells draw positionally-seeded samples.
-func RunCell(cell Cell) (CellResult, error) {
+// measurement cells draw positionally-seeded samples through meas (nil
+// means workload.Measure in the calling process).
+func RunCell(cell Cell, meas core.Measurer) (CellResult, error) {
 	sp := cell.Spec.WithDefaults()
 	if err := sp.Validate(); err != nil {
 		return CellResult{}, err
@@ -196,7 +198,7 @@ func RunCell(cell Cell) (CellResult, error) {
 			}
 			env = base.env(prof).WithCost(instr, all, cell.CostNs)
 		}
-		sum, err := workload.Measure(bench, env, sp.Samples, sp.Seed)
+		sum, err := meas.Measure(bench, env, sp.Samples, sp.Seed)
 		if err != nil {
 			return CellResult{}, err
 		}

@@ -38,33 +38,9 @@ type GateOutcome struct {
 // maxWitnessBytes caps the recorded witness trace.
 const maxWitnessBytes = 64 << 10
 
-// primeThread returns a Setup that warms the given lines.
-func primeThread(addrs ...int64) func(b *arch.Builder) {
-	return func(b *arch.Builder) {
-		for _, a := range addrs {
-			b.Load(26, litmus.Base, a)
-		}
-	}
-}
-
 // recordResult stores r into thread t's i-th observation slot.
 func recordResult(b *arch.Builder, r arch.Reg, t, i int) {
 	b.Store(r, litmus.Base, litmus.ResultAddr(t, i))
-}
-
-// sbRelaxed is the Dekker violation: both threads read 0.
-func sbRelaxed(mem func(int64) int64) bool {
-	return mem(litmus.ResultAddr(0, 0)) == 0 && mem(litmus.ResultAddr(1, 0)) == 0
-}
-
-// mpRelaxed is the message-passing violation: the flag was seen but the
-// data was not.
-func mpRelaxed(mem func(int64) int64) bool {
-	return mem(litmus.ResultAddr(1, 0)) == 1 && mem(litmus.ResultAddr(1, 1)) == 0
-}
-
-func mpHit(mem func(int64) int64) bool {
-	return mem(litmus.ResultAddr(1, 0)) == 1
 }
 
 // buildGateTest constructs the named shape through the candidate's
@@ -78,7 +54,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 			// Dekker: volatile store mine; volatile load other.
 			th := func(t int, mine, other int64) litmus.Thread {
 				return litmus.Thread{
-					Setup: primeThread(litmus.X, litmus.Y),
+					Setup: litmus.PrimeLines(litmus.X, litmus.Y),
 					Body: func(b *arch.Builder) {
 						b.MovImm(2, 1)
 						j.VolatileStore(b, 2, litmus.Base, mine)
@@ -90,7 +66,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 			return &litmus.Test{
 				Name:    "volatile-sb",
 				Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
-				Relaxed: sbRelaxed,
+				Relaxed: litmus.SBRelaxed,
 			}, nil
 		case "volatile-mp":
 			// Plain data store, volatile flag; reader loads the
@@ -104,7 +80,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						j.VolatileStore(b, 2, litmus.Base, litmus.Y)
 					}},
 					{
-						Setup: primeThread(litmus.X),
+						Setup: litmus.PrimeLines(litmus.X),
 						Body: func(b *arch.Builder) {
 							j.VolatileLoad(b, 2, litmus.Base, litmus.Y)
 							b.Load(3, litmus.Base, litmus.X)
@@ -113,8 +89,8 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						},
 					},
 				},
-				Relaxed: mpRelaxed,
-				Hit:     mpHit,
+				Relaxed: litmus.MPRelaxed,
+				Hit:     litmus.MPHit,
 			}, nil
 		}
 	case "kernel":
@@ -133,7 +109,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						k.RCUAssign(b, 2, litmus.Base, litmus.Y)
 					}},
 					{
-						Setup: primeThread(litmus.X),
+						Setup: litmus.PrimeLines(litmus.X),
 						Body: func(b *arch.Builder) {
 							k.RCUDereference(b, 2, litmus.Base, litmus.Y)
 							// Follow the "pointer": an
@@ -146,8 +122,8 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						},
 					},
 				},
-				Relaxed: mpRelaxed,
-				Hit:     mpHit,
+				Relaxed: litmus.MPRelaxed,
+				Hit:     litmus.MPHit,
 			}, nil
 		case "acqrel-mp":
 			return &litmus.Test{
@@ -159,7 +135,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						k.StoreRelease(b, 2, litmus.Base, litmus.Y)
 					}},
 					{
-						Setup: primeThread(litmus.X),
+						Setup: litmus.PrimeLines(litmus.X),
 						Body: func(b *arch.Builder) {
 							k.LoadAcquire(b, 2, litmus.Base, litmus.Y)
 							k.ReadOnce(b, 3, litmus.Base, litmus.X)
@@ -168,8 +144,8 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						},
 					},
 				},
-				Relaxed: mpRelaxed,
-				Hit:     mpHit,
+				Relaxed: litmus.MPRelaxed,
+				Hit:     litmus.MPHit,
 			}, nil
 		}
 	case "c11":
@@ -178,7 +154,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 		case "sc-sb":
 			th := func(t int, mine, other int64) litmus.Thread {
 				return litmus.Thread{
-					Setup: primeThread(litmus.X, litmus.Y),
+					Setup: litmus.PrimeLines(litmus.X, litmus.Y),
 					Body: func(b *arch.Builder) {
 						b.MovImm(2, 1)
 						c.Store(b, c11.SeqCst, 2, litmus.Base, mine)
@@ -190,7 +166,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 			return &litmus.Test{
 				Name:    "sc-sb",
 				Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
-				Relaxed: sbRelaxed,
+				Relaxed: litmus.SBRelaxed,
 			}, nil
 		case "acqrel-mp":
 			return &litmus.Test{
@@ -202,7 +178,7 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						c.Store(b, c11.Release, 2, litmus.Base, litmus.Y)
 					}},
 					{
-						Setup: primeThread(litmus.X),
+						Setup: litmus.PrimeLines(litmus.X),
 						Body: func(b *arch.Builder) {
 							c.Load(b, c11.Acquire, 2, litmus.Base, litmus.Y)
 							c.Load(b, c11.Relaxed, 3, litmus.Base, litmus.X)
@@ -211,8 +187,8 @@ func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Pro
 						},
 					},
 				},
-				Relaxed: mpRelaxed,
-				Hit:     mpHit,
+				Relaxed: litmus.MPRelaxed,
+				Hit:     litmus.MPHit,
 			}, nil
 		}
 	}

@@ -188,7 +188,7 @@ func TestCellsMatchLocalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range gates {
-		res, err := RunCell(c)
+		res, err := RunCell(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestCellsMatchLocalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range score {
-		res, err := RunCell(c)
+		res, err := RunCell(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

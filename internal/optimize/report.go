@@ -233,7 +233,7 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	for _, c := range gates {
-		res, err := RunCell(c)
+		res, err := RunCell(c, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	for _, c := range score {
-		res, err := RunCell(c)
+		res, err := RunCell(c, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -143,9 +143,12 @@ func (e Env) WithCost(costPaths, allPaths []arch.PathID, n int64) Env {
 }
 
 // machineKey identifies a simulator configuration for reuse purposes:
-// machines of equal key differ only by seed, which Reset restores.
+// machines of equal key differ only by seed, which Reset restores.  The
+// profile is keyed by value: drivers build a fresh profile per job
+// (arch.ARMv8 returns a new pointer on every call), so a pointer key
+// would cache one more machine for every job and never free it.
 type machineKey struct {
-	prof     *arch.Profile
+	prof     arch.Profile
 	cores    int
 	memWords int
 	warmup   int64
@@ -170,17 +173,20 @@ type MachineCache struct {
 func NewMachineCache() *MachineCache { return &MachineCache{} }
 
 // acquire returns a machine for the profile and config, reusing a cached
-// one when the configuration (everything but the seed) matches.
+// one when the configuration (everything but the seed) matches.  A cached
+// machine runs on the cache's own copy of the profile, so no caller can
+// later change the machine under its key.
 func (mc *MachineCache) acquire(prof *arch.Profile, cfg sim.Config) (*sim.Machine, error) {
 	if mc == nil {
 		return sim.New(prof, cfg)
 	}
-	key := machineKey{prof, cfg.Cores, cfg.MemWords, cfg.WarmupCycles, cfg.RecordWork}
+	key := machineKey{*prof, cfg.Cores, cfg.MemWords, cfg.WarmupCycles, cfg.RecordWork}
 	if m := mc.machines[key]; m != nil {
 		m.Reset(cfg.Seed)
 		return m, nil
 	}
-	m, err := sim.New(prof, cfg)
+	own := key.prof
+	m, err := sim.New(&own, cfg)
 	if err != nil {
 		return nil, err
 	}
