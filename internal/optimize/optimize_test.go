@@ -2,6 +2,8 @@ package optimize
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -125,6 +127,64 @@ func TestDefaultGateExplorerWork(t *testing.T) {
 	}
 	if runs != 5254 || states != 3922 {
 		t.Errorf("default JVM gate explored %d runs and %d states, want 5254 and 3922", runs, states)
+	}
+}
+
+// TestPlatformGolden pins every platform × arch pair end to end: the
+// explorer work of its default gate (runs and states summed over every
+// default candidate and shape, read back from the report) and the sha256
+// of a short default job's canonical report.  A change to how a platform
+// is defined, its gate programs or its scoring workload moves one of
+// them.
+func TestPlatformGolden(t *testing.T) {
+	golden := []struct {
+		platform, arch string
+		runs, states   int
+		sha256         string
+	}{
+		{"jvm", "armv8", 5254, 3922,
+			"9fd12f097cccce94f181c058a95d2d6feb13e03b19257870338b72ae5b764195"},
+		{"jvm", "power7", 22374, 20922,
+			"5f8110b5ef53e901e1f0c0446fa4906c69ac64817ec8aa42ba290a6dfbb1ba9b"},
+		{"kernel", "armv8", 5746, 4294,
+			"bb7f902abc937f460710b051689fa368ad91fac791abc543129e9bf581b36dce"},
+		{"kernel", "power7", 18947, 17495,
+			"0d2a4fb2ccb78791024871c0729c2063e0efb1a358fa76db57c666b12bfb05de"},
+		{"c11", "armv8", 1922, 1438,
+			"5ab10a489665dd73cc4552b9c642c40443504e799af0f98a8e0cced1a5578e99"},
+		{"c11", "power7", 7174, 6690,
+			"170297782abde776e6dc0e7c885a796b930f3bd29f4c89f35cb124054c0c71ff"},
+	}
+	for _, g := range golden {
+		t.Run(g.platform+"/"+g.arch, func(t *testing.T) {
+			rep, err := Run(Spec{
+				Platform: g.platform,
+				Arch:     g.arch,
+				Samples:  2,
+				FitCosts: []int64{8, 128},
+				Workload: WorkloadSpec{MaxCycles: 10_000},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, states := 0, 0
+			for _, c := range rep.Candidates {
+				for _, o := range c.Gate {
+					runs += o.Runs
+					states += o.States
+				}
+			}
+			if runs != g.runs || states != g.states {
+				t.Errorf("default gate explored %d runs and %d states, want %d and %d", runs, states, g.runs, g.states)
+			}
+			data, err := rep.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != g.sha256 {
+				t.Errorf("canonical report sha256 %s, want %s", got, g.sha256)
+			}
+		})
 	}
 }
 
