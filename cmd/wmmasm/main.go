@@ -50,13 +50,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var prof *wmm.Profile
-	switch *archFlag {
-	case "armv8":
-		prof = wmm.ARMv8()
-	case "power7":
-		prof = wmm.POWER7()
-	default:
+	prof, err := wmm.ProfileByName(*archFlag)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "wmmasm: unknown arch %q\n", *archFlag)
 		os.Exit(2)
 	}

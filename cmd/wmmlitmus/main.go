@@ -63,17 +63,14 @@ func main() {
 	list := flag.Bool("list", false, "list the catalogue and exit")
 	flag.Parse()
 
-	var profiles []*wmm.Profile
-	switch *archFlag {
-	case "armv8":
-		profiles = []*wmm.Profile{wmm.ARMv8()}
-	case "power7":
-		profiles = []*wmm.Profile{wmm.POWER7()}
-	case "both":
-		profiles = []*wmm.Profile{wmm.ARMv8(), wmm.POWER7()}
-	default:
-		fmt.Fprintf(os.Stderr, "wmmlitmus: unknown arch %q\n", *archFlag)
-		os.Exit(2)
+	profiles := []*wmm.Profile{wmm.ARMv8(), wmm.POWER7()}
+	if *archFlag != "both" {
+		prof, err := wmm.ProfileByName(*archFlag)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wmmlitmus: unknown arch %q\n", *archFlag)
+			os.Exit(2)
+		}
+		profiles = []*wmm.Profile{prof}
 	}
 
 	if *list {

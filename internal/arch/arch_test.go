@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,27 @@ func TestProfileValidation(t *testing.T) {
 	bad.Lat.PropMax = bad.Lat.PropMin - 1
 	if bad.Validate() == nil {
 		t.Error("inverted propagation bounds should fail validation")
+	}
+}
+
+// TestByName pins the one profile lookup the service and the CLIs share:
+// each name resolves to a fresh copy of its profile, and anything else is
+// refused with the "unknown arch" text callers' validation tests match.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]*Profile{"armv8": ARMv8(), "power7": POWER7()} {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("%s: ByName differs from the profile constructor", name)
+		}
+		if q, _ := ByName(name); q == p {
+			t.Errorf("%s: ByName returned a shared profile", name)
+		}
+	}
+	if _, err := ByName("riscv"); err == nil || !strings.Contains(err.Error(), "unknown arch") {
+		t.Errorf("ByName(riscv) error = %v, want unknown arch", err)
 	}
 }
 

@@ -245,3 +245,15 @@ func Profiles() map[string]*Profile {
 		"power": POWER7(),
 	}
 }
+
+// ByName returns a fresh evaluation profile by the name the service and
+// the CLIs use for it: "armv8" or "power7".
+func ByName(name string) (*Profile, error) {
+	switch name {
+	case "armv8":
+		return ARMv8(), nil
+	case "power7":
+		return POWER7(), nil
+	}
+	return nil, fmt.Errorf("unknown arch %q (want \"armv8\" or \"power7\")", name)
+}

@@ -71,7 +71,7 @@ func (sp LitmusSpec) withDefaults() LitmusSpec {
 // validate rejects malformed specs, including configs the generator
 // cannot satisfy (a dry generation is cheap: recipes only, no programs).
 func (sp LitmusSpec) validate() error {
-	if _, err := litmusProfile(sp.Arch); err != nil {
+	if _, err := arch.ByName(sp.Arch); err != nil {
 		return err
 	}
 	if sp.Count <= 0 || sp.Count > maxLitmusCount {
@@ -130,18 +130,6 @@ type LitmusShard struct {
 // name is the shard's job identity on the queue and in results.
 func (sh LitmusShard) name() string { return fmt.Sprintf("shard-%05d-%05d", sh.Lo, sh.Hi) }
 
-// litmusProfile resolves a machine name.
-func litmusProfile(name string) (*arch.Profile, error) {
-	switch name {
-	case "armv8":
-		return arch.ARMv8(), nil
-	case "power7":
-		return arch.POWER7(), nil
-	default:
-		return nil, fmt.Errorf("unknown arch %q (want armv8 or power7)", name)
-	}
-}
-
 // litmusTestOutcome is one test's outcome inside a shard result, the
 // row format of the shard's canonical Output JSON.
 type litmusTestOutcome struct {
@@ -159,7 +147,7 @@ type litmusTestOutcome struct {
 // mismatches (unknown arch, inconsistent indices); execution failures
 // are contained in the Result.
 func RunLitmusShard(ctx context.Context, sh LitmusShard) (*Result, error) {
-	prof, err := litmusProfile(sh.Arch)
+	prof, err := arch.ByName(sh.Arch)
 	if err != nil {
 		return nil, err
 	}

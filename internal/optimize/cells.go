@@ -2,12 +2,9 @@ package optimize
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/platform/c11"
-	"repro/internal/platform/jvm"
-	"repro/internal/platform/kernel"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -85,38 +82,11 @@ func (sp Spec) ScoreCells(sound map[string]bool) ([]Cell, error) {
 	return out, nil
 }
 
-// paths returns the instrumented code paths for the platform: all paths
-// that get nop padding, and the subset carrying injected cost in fit
-// cells.
-func paths(platform string) (all, instr []arch.PathID) {
-	switch platform {
-	case "jvm":
-		all = []arch.PathID{jvm.PathAnyBarrier}
-		instr = all
-	case "kernel":
-		all = kernel.Paths
-		instr = []arch.PathID{kernel.PathReadBarrierDepends}
-	case "c11":
-		all = c11.Paths
-		instr = []arch.PathID{c11.PathSeqCst}
-	}
-	return all, instr
-}
-
 // benchmark assembles the scoring benchmark for the spec.
 func (sp Spec) benchmark() (*workload.Benchmark, error) {
 	mix, err := sp.mix()
 	if err != nil {
 		return nil, err
-	}
-	var plat workload.Platform
-	switch sp.Platform {
-	case "jvm":
-		plat = workload.JVMPlatform
-	case "kernel":
-		plat = workload.KernelPlatform
-	case "c11":
-		plat = workload.C11Platform
 	}
 	const memWords = 1 << 15
 	cores := sp.Workload.Cores
@@ -126,7 +96,7 @@ func (sp Spec) benchmark() (*workload.Benchmark, error) {
 	}
 	return &workload.Benchmark{
 		Name:         "optimize/" + sp.Platform,
-		Platform:     plat,
+		Platform:     platforms[sp.Platform].bench,
 		Metric:       workload.Throughput,
 		Cores:        cores,
 		MemWords:     memWords,
@@ -147,64 +117,49 @@ func RunCell(cell Cell, meas core.Measurer) (CellResult, error) {
 	if err := sp.Validate(); err != nil {
 		return CellResult{}, err
 	}
-	res := CellResult{Cell: cell.Name()}
 	prof, err := sp.Profile()
 	if err != nil {
 		return CellResult{}, err
+	}
+	strategy := cell.Strategy
+	switch cell.Kind {
+	case "gate", "measure":
+	case "fit":
+		if cell.CostNs < 1 {
+			return CellResult{}, fmt.Errorf("optimize: fit cell with cost %d", cell.CostNs)
+		}
+		strategy = sp.Baseline // the fit measures the baseline under injected cost
+	default:
+		return CellResult{}, fmt.Errorf("optimize: unknown cell kind %q", cell.Kind)
 	}
 	cands, err := sp.Candidates()
 	if err != nil {
 		return CellResult{}, err
 	}
-	find := func(name string) (Candidate, error) {
-		for _, c := range cands {
-			if c.Name == name {
-				return c, nil
-			}
-		}
-		return Candidate{}, fmt.Errorf("optimize: cell names unknown strategy %q", name)
+	i := slices.IndexFunc(cands, func(c Candidate) bool { return c.Name == strategy })
+	if i < 0 {
+		return CellResult{}, fmt.Errorf("optimize: cell names unknown strategy %q", strategy)
 	}
-
-	switch cell.Kind {
-	case "gate":
-		cand, err := find(cell.Strategy)
-		if err != nil {
+	res := CellResult{Cell: cell.Name()}
+	if cell.Kind == "gate" {
+		if res.Gate, err = RunGate(sp, cands[i]); err != nil {
 			return CellResult{}, err
 		}
-		res.Gate, err = RunGate(sp, cand)
-		if err != nil {
-			return CellResult{}, err
-		}
-	case "measure", "fit":
-		bench, err := sp.benchmark()
-		if err != nil {
-			return CellResult{}, err
-		}
-		all, instr := paths(sp.Platform)
-		var env workload.Env
-		if cell.Kind == "measure" {
-			cand, err := find(cell.Strategy)
-			if err != nil {
-				return CellResult{}, err
-			}
-			env = cand.env(prof).NopBase(all)
-		} else {
-			if cell.CostNs < 1 {
-				return CellResult{}, fmt.Errorf("optimize: fit cell with cost %d", cell.CostNs)
-			}
-			base, err := find(sp.Baseline)
-			if err != nil {
-				return CellResult{}, err
-			}
-			env = base.env(prof).WithCost(instr, all, cell.CostNs)
-		}
-		sum, err := meas.Measure(bench, env, sp.Samples, sp.Seed)
-		if err != nil {
-			return CellResult{}, err
-		}
-		res.Perf = &sum
-	default:
-		return CellResult{}, fmt.Errorf("optimize: unknown cell kind %q", cell.Kind)
+		return res, nil
 	}
+	p := platforms[sp.Platform]
+	env := cands[i].env(prof).NopBase(p.paths)
+	if cell.Kind == "fit" {
+		env = cands[i].env(prof).WithCost(p.costPaths, p.paths, cell.CostNs)
+	}
+	bench, err := sp.benchmark()
+	if err != nil {
+		return CellResult{}, err
+	}
+	sum, err := meas.Measure(bench, env, sp.Samples, sp.Seed)
+	if err != nil {
+		return CellResult{}, err
+	}
+	res.Perf = &sum
 	return res, nil
 }

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/litmus"
-	"repro/internal/platform/c11"
-	"repro/internal/platform/jvm"
-	"repro/internal/platform/kernel"
+	"repro/internal/workload"
 )
 
 // The soundness gate: every candidate strategy must keep the forbidden
@@ -43,156 +41,82 @@ func recordResult(b *arch.Builder, r arch.Reg, t, i int) {
 	b.Store(r, litmus.Base, litmus.ResultAddr(t, i))
 }
 
-// buildGateTest constructs the named shape through the candidate's
-// platform generator.
-func buildGateTest(platform string, cand Candidate, shape string, prof *arch.Profile) (*litmus.Test, error) {
-	switch platform {
-	case "jvm":
-		j := jvm.New(jvm.Config{Prof: prof, Strategy: *cand.JVM})
-		switch shape {
-		case "volatile-sb":
-			// Dekker: volatile store mine; volatile load other.
-			th := func(t int, mine, other int64) litmus.Thread {
-				return litmus.Thread{
-					Setup: litmus.PrimeLines(litmus.X, litmus.Y),
-					Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						j.VolatileStore(b, 2, litmus.Base, mine)
-						j.VolatileLoad(b, 3, litmus.Base, other)
-						recordResult(b, 3, t, 0)
-					},
-				}
+// An emitter emits one access through the platform generator g: a store
+// of register r to base+off, or a load of base+off into r.
+type emitter[G any] func(g G, b *arch.Builder, r, base arch.Reg, off int64)
+
+// A gateShape is one soundness shape; build constructs its litmus test
+// through the generator the candidate's environment configures.
+type gateShape struct {
+	name  string
+	build func(workload.Env) *litmus.Test
+}
+
+// sb is the store-buffering (Dekker) template: each thread stores 1 to its
+// own location, then loads the other's.
+func sb[G any](name string, gen func(workload.Env) G, store, load emitter[G]) gateShape {
+	return gateShape{name, func(e workload.Env) *litmus.Test {
+		g := gen(e)
+		th := func(t int, mine, other int64) litmus.Thread {
+			return litmus.Thread{
+				Setup: litmus.PrimeLines(litmus.X, litmus.Y),
+				Body: func(b *arch.Builder) {
+					b.MovImm(2, 1)
+					store(g, b, 2, litmus.Base, mine)
+					load(g, b, 3, litmus.Base, other)
+					recordResult(b, 3, t, 0)
+				},
 			}
-			return &litmus.Test{
-				Name:    "volatile-sb",
-				Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
-				Relaxed: litmus.SBRelaxed,
-			}, nil
-		case "volatile-mp":
-			// Plain data store, volatile flag; reader loads the
-			// volatile flag then the plain data.
-			return &litmus.Test{
-				Name: "volatile-mp",
-				Threads: []litmus.Thread{
-					{Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						b.Store(2, litmus.Base, litmus.X)
-						j.VolatileStore(b, 2, litmus.Base, litmus.Y)
-					}},
-					{
-						Setup: litmus.PrimeLines(litmus.X),
-						Body: func(b *arch.Builder) {
-							j.VolatileLoad(b, 2, litmus.Base, litmus.Y)
-							b.Load(3, litmus.Base, litmus.X)
-							recordResult(b, 2, 1, 0)
-							recordResult(b, 3, 1, 1)
-						},
-					},
-				},
-				Relaxed: litmus.MPRelaxed,
-				Hit:     litmus.MPHit,
-			}, nil
 		}
-	case "kernel":
-		k := kernel.New(kernel.Config{Prof: prof, Strategy: *cand.Kernel})
-		switch shape {
-		case "rcu-mp":
-			// rcu_assign_pointer publication against an
-			// rcu_dereference with a true address dependency — the
-			// usage pattern read_barrier_depends exists for.
-			return &litmus.Test{
-				Name: "rcu-mp",
-				Threads: []litmus.Thread{
-					{Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						b.Store(2, litmus.Base, litmus.X)
-						k.RCUAssign(b, 2, litmus.Base, litmus.Y)
-					}},
-					{
-						Setup: litmus.PrimeLines(litmus.X),
-						Body: func(b *arch.Builder) {
-							k.RCUDereference(b, 2, litmus.Base, litmus.Y)
-							// Follow the "pointer": an
-							// address-dependent load of X.
-							b.Eor(4, 2, 2)
-							b.Add(5, litmus.Base, 4)
-							b.Load(3, 5, litmus.X)
-							recordResult(b, 2, 1, 0)
-							recordResult(b, 3, 1, 1)
-						},
-					},
-				},
-				Relaxed: litmus.MPRelaxed,
-				Hit:     litmus.MPHit,
-			}, nil
-		case "acqrel-mp":
-			return &litmus.Test{
-				Name: "acqrel-mp",
-				Threads: []litmus.Thread{
-					{Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						k.WriteOnce(b, 2, litmus.Base, litmus.X)
-						k.StoreRelease(b, 2, litmus.Base, litmus.Y)
-					}},
-					{
-						Setup: litmus.PrimeLines(litmus.X),
-						Body: func(b *arch.Builder) {
-							k.LoadAcquire(b, 2, litmus.Base, litmus.Y)
-							k.ReadOnce(b, 3, litmus.Base, litmus.X)
-							recordResult(b, 2, 1, 0)
-							recordResult(b, 3, 1, 1)
-						},
-					},
-				},
-				Relaxed: litmus.MPRelaxed,
-				Hit:     litmus.MPHit,
-			}, nil
+		return &litmus.Test{
+			Name:    name,
+			Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
+			Relaxed: litmus.SBRelaxed,
 		}
-	case "c11":
-		c := c11.New(c11.Config{Prof: prof, Strategy: *cand.C11})
-		switch shape {
-		case "sc-sb":
-			th := func(t int, mine, other int64) litmus.Thread {
-				return litmus.Thread{
-					Setup: litmus.PrimeLines(litmus.X, litmus.Y),
+	}}
+}
+
+// mp is the message-passing template: the writer stores 1 to the data X,
+// then to the flag Y; the reader loads the flag into register 2, then the
+// data into register 3.
+func mp[G any](name string, gen func(workload.Env) G, dataStore, flagStore, flagLoad, dataLoad emitter[G]) gateShape {
+	return gateShape{name, func(e workload.Env) *litmus.Test {
+		g := gen(e)
+		return &litmus.Test{
+			Name: name,
+			Threads: []litmus.Thread{
+				{Body: func(b *arch.Builder) {
+					b.MovImm(2, 1)
+					dataStore(g, b, 2, litmus.Base, litmus.X)
+					flagStore(g, b, 2, litmus.Base, litmus.Y)
+				}},
+				{
+					Setup: litmus.PrimeLines(litmus.X),
 					Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						c.Store(b, c11.SeqCst, 2, litmus.Base, mine)
-						c.Load(b, c11.SeqCst, 3, litmus.Base, other)
-						recordResult(b, 3, t, 0)
-					},
-				}
-			}
-			return &litmus.Test{
-				Name:    "sc-sb",
-				Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
-				Relaxed: litmus.SBRelaxed,
-			}, nil
-		case "acqrel-mp":
-			return &litmus.Test{
-				Name: "acqrel-mp",
-				Threads: []litmus.Thread{
-					{Body: func(b *arch.Builder) {
-						b.MovImm(2, 1)
-						c.Store(b, c11.Relaxed, 2, litmus.Base, litmus.X)
-						c.Store(b, c11.Release, 2, litmus.Base, litmus.Y)
-					}},
-					{
-						Setup: litmus.PrimeLines(litmus.X),
-						Body: func(b *arch.Builder) {
-							c.Load(b, c11.Acquire, 2, litmus.Base, litmus.Y)
-							c.Load(b, c11.Relaxed, 3, litmus.Base, litmus.X)
-							recordResult(b, 2, 1, 0)
-							recordResult(b, 3, 1, 1)
-						},
+						flagLoad(g, b, 2, litmus.Base, litmus.Y)
+						dataLoad(g, b, 3, litmus.Base, litmus.X)
+						recordResult(b, 2, 1, 0)
+						recordResult(b, 3, 1, 1)
 					},
 				},
-				Relaxed: litmus.MPRelaxed,
-				Hit:     litmus.MPHit,
-			}, nil
+			},
+			Relaxed: litmus.MPRelaxed,
+			Hit:     litmus.MPHit,
 		}
-	}
-	return nil, fmt.Errorf("optimize: no gate shape %q for platform %s", shape, platform)
+	}}
+}
+
+// plainStore and plainLoad emit ordinary accesses.
+func plainStore[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.Store(r, base, off) }
+
+func plainLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.Load(r, base, off) }
+
+// addrDepLoad is mp's data load through the "pointer" the flag load left
+// in register 2: its address depends on that value.
+func addrDepLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) {
+	b.Eor(4, 2, 2)
+	b.Add(5, base, 4)
+	b.Load(r, 5, off)
 }
 
 // RunGate runs every configured gate shape for the candidate and returns
@@ -204,14 +128,16 @@ func RunGate(sp Spec, cand Candidate) ([]GateOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := platforms[sp.Platform]
+	env := cand.env(prof)
 	out := make([]GateOutcome, 0, len(sp.Gate.Shapes))
 	for _, shape := range sp.Gate.Shapes {
-		t, err := buildGateTest(sp.Platform, cand, shape, prof)
-		if err != nil {
-			return nil, err
+		gs, ok := p.gate(shape)
+		if !ok {
+			return nil, fmt.Errorf("optimize: no gate shape %q for platform %s", shape, sp.Platform)
 		}
 		r := &litmus.Runner{Prof: prof, Seed: sp.Seed, MaxDelay: sp.Gate.MaxDelay}
-		rep, err := r.Exhaustive(t, true)
+		rep, err := r.Exhaustive(gs.build(env), true)
 		if err != nil {
 			return nil, fmt.Errorf("optimize: gate %s/%s: %w", cand.Name, shape, err)
 		}
@@ -235,4 +161,14 @@ func RunGate(sp Spec, cand Candidate) ([]GateOutcome, error) {
 		out = append(out, g)
 	}
 	return out, nil
+}
+
+// gate returns the platform's gate shape of the given name.
+func (p platform) gate(name string) (gateShape, bool) {
+	for _, g := range p.gates {
+		if g.name == name {
+			return g, true
+		}
+	}
+	return gateShape{}, false
 }

@@ -17,12 +17,11 @@ package optimize
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/platform/c11"
-	"repro/internal/platform/jvm"
-	"repro/internal/platform/kernel"
 	"repro/internal/workload"
 )
 
@@ -79,38 +78,6 @@ type WorkloadSpec struct {
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 }
 
-// gateCatalogue lists the soundness shapes per platform, in gate order.
-var gateCatalogue = map[string][]string{
-	"jvm":    {"volatile-sb", "volatile-mp"},
-	"kernel": {"rcu-mp", "acqrel-mp"},
-	"c11":    {"sc-sb", "acqrel-mp"},
-}
-
-// defaultBaseline is the stock strategy per platform.
-var defaultBaseline = map[string]string{
-	"jvm":    "jdk8-barriers",
-	"kernel": "base case",
-	"c11":    "barriers",
-}
-
-// defaultMix is the volatile-heavy scoring mix per platform (the paper's
-// DaCapo-style mixture: mostly private work with a meaningful synchronising
-// fraction).
-var defaultMix = map[string]map[string]int{
-	"jvm": {
-		"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
-		"volatile_loads": 4, "volatile_stores": 2, "publishes": 1,
-	},
-	"kernel": {
-		"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
-		"read_onces": 3, "rcu_derefs": 3, "rcu_assigns": 1, "write_onces": 1,
-	},
-	"c11": {
-		"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
-		"sc_loads": 3, "sc_stores": 2, "rel_acq_pairs": 1,
-	},
-}
-
 // WithDefaults returns a copy of sp with every optional field materialised.
 func (sp Spec) WithDefaults() Spec {
 	if sp.Platform == "" {
@@ -119,20 +86,20 @@ func (sp Spec) WithDefaults() Spec {
 	if sp.Arch == "" {
 		sp.Arch = "armv8"
 	}
+	p := platforms[sp.Platform] // zero for an unknown platform, which Validate refuses
 	if sp.Baseline == "" {
-		sp.Baseline = defaultBaseline[sp.Platform]
+		sp.Baseline = p.baseline
 	}
 	if len(sp.Gate.Shapes) == 0 {
-		sp.Gate.Shapes = append([]string(nil), gateCatalogue[sp.Platform]...)
+		for _, g := range p.gates {
+			sp.Gate.Shapes = append(sp.Gate.Shapes, g.name)
+		}
 	}
 	if sp.Gate.MaxDelay == 0 {
 		sp.Gate.MaxDelay = 32
 	}
 	if len(sp.Workload.Mix) == 0 {
-		sp.Workload.Mix = make(map[string]int)
-		for k, v := range defaultMix[sp.Platform] {
-			sp.Workload.Mix[k] = v
-		}
+		sp.Workload.Mix = maps.Clone(p.mix)
 	}
 	if sp.Workload.Cores == 0 {
 		sp.Workload.Cores = 4
@@ -154,19 +121,18 @@ func (sp Spec) WithDefaults() Spec {
 
 // Profile resolves the spec's architecture profile.
 func (sp Spec) Profile() (*arch.Profile, error) {
-	switch sp.Arch {
-	case "armv8":
-		return arch.ARMv8(), nil
-	case "power7":
-		return arch.POWER7(), nil
+	prof, err := arch.ByName(sp.Arch)
+	if err != nil {
+		return nil, fmt.Errorf("optimize: %w", err)
 	}
-	return nil, fmt.Errorf("optimize: unknown arch %q (want \"armv8\" or \"power7\")", sp.Arch)
+	return prof, nil
 }
 
 // Validate checks a normalised spec.  Call on the WithDefaults form.
 func (sp Spec) Validate() error {
-	if _, ok := gateCatalogue[sp.Platform]; !ok {
-		return fmt.Errorf("optimize: unknown platform %q (want \"jvm\", \"kernel\" or \"c11\")", sp.Platform)
+	p, err := sp.lookupPlatform()
+	if err != nil {
+		return err
 	}
 	if _, err := sp.Profile(); err != nil {
 		return err
@@ -174,12 +140,8 @@ func (sp Spec) Validate() error {
 	if _, err := sp.Candidates(); err != nil {
 		return err
 	}
-	known := map[string]bool{}
-	for _, s := range gateCatalogue[sp.Platform] {
-		known[s] = true
-	}
 	for _, s := range sp.Gate.Shapes {
-		if !known[s] {
+		if _, ok := p.gate(s); !ok {
 			return fmt.Errorf("optimize: unknown gate shape %q for platform %s", s, sp.Platform)
 		}
 	}
@@ -217,112 +179,56 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Candidate is one strategy under consideration; exactly one of the
-// platform fields is non-nil.
+// Candidate is one strategy under consideration: its canonical name, its
+// declarative encoding for the report, and its binding into a workload
+// environment.
 type Candidate struct {
-	Name   string
-	JVM    *jvm.Strategy
-	Kernel *kernel.Strategy
-	C11    *c11.Strategy
+	Name string
+	enc  StrategyEncoding
+	bind func(workload.Env) workload.Env
 }
 
 // Encoding returns the candidate's declarative spec encoding for the
 // report.
-func (c Candidate) Encoding() StrategyEncoding {
-	var e StrategyEncoding
-	switch {
-	case c.JVM != nil:
-		sp := c.JVM.Spec()
-		e.JVM = &sp
-	case c.Kernel != nil:
-		sp := c.Kernel.Spec()
-		e.Kernel = &sp
-	case c.C11 != nil:
-		sp := c.C11.Spec()
-		e.C11 = &sp
-	}
-	return e
-}
+func (c Candidate) Encoding() StrategyEncoding { return c.enc }
 
-// env binds the candidate strategy into a workload environment.
+// env binds the candidate strategy into the profile's default workload
+// environment.
 func (c Candidate) env(prof *arch.Profile) workload.Env {
-	e := workload.DefaultEnv(prof)
-	switch {
-	case c.JVM != nil:
-		e.JVMStrategy = *c.JVM
-	case c.Kernel != nil:
-		e.KernelStrategy = *c.Kernel
-	case c.C11 != nil:
-		e.C11Strategy = *c.C11
-	}
-	return e
-}
-
-// space returns the platform's enumerated strategy space as candidates, in
-// enumeration order.
-func space(platform string) []Candidate {
-	var out []Candidate
-	switch platform {
-	case "jvm":
-		for _, st := range jvm.Enumerate() {
-			st := st
-			out = append(out, Candidate{Name: st.Name, JVM: &st})
-		}
-	case "kernel":
-		for _, st := range kernel.Enumerate() {
-			st := st
-			out = append(out, Candidate{Name: st.Name, Kernel: &st})
-		}
-	case "c11":
-		for _, st := range c11.Enumerate() {
-			st := st
-			out = append(out, Candidate{Name: st.Name, C11: &st})
-		}
-	}
-	return out
+	return c.bind(workload.DefaultEnv(prof))
 }
 
 // Candidates resolves the spec's strategy selectors against the platform's
 // enumerated space, preserving enumeration order, and checks the baseline
 // is among them.
 func (sp Spec) Candidates() ([]Candidate, error) {
-	all := space(sp.Platform)
-	if len(sp.Strategies) == 0 {
-		return sp.checkBaseline(all)
+	p, err := sp.lookupPlatform()
+	if err != nil {
+		return nil, err
 	}
-	want := make(map[string]bool, len(sp.Strategies))
-	for _, n := range sp.Strategies {
-		want[n] = true
-	}
-	var out []Candidate
-	for _, c := range all {
-		if want[c.Name] {
-			out = append(out, c)
-			delete(want, c.Name)
-		}
-	}
-	if len(want) > 0 {
+	cands := p.space()
+	named := func(n string) func(Candidate) bool { return func(c Candidate) bool { return c.Name == n } }
+	if len(sp.Strategies) > 0 {
 		var missing []string
-		for n := range want {
-			missing = append(missing, n)
+		for _, n := range sp.Strategies {
+			if !slices.ContainsFunc(cands, named(n)) && !slices.Contains(missing, n) {
+				missing = append(missing, n)
+			}
 		}
-		sort.Strings(missing)
-		return nil, fmt.Errorf("optimize: unknown %s strategies %v", sp.Platform, missing)
+		if len(missing) > 0 {
+			sort.Strings(missing)
+			return nil, fmt.Errorf("optimize: unknown %s strategies %v", sp.Platform, missing)
+		}
+		cands = slices.DeleteFunc(cands, func(c Candidate) bool { return !slices.Contains(sp.Strategies, c.Name) })
 	}
-	return sp.checkBaseline(out)
+	if !slices.ContainsFunc(cands, named(sp.Baseline)) {
+		return nil, fmt.Errorf("optimize: baseline %q not among selected strategies", sp.Baseline)
+	}
+	return cands, nil
 }
 
-func (sp Spec) checkBaseline(cands []Candidate) ([]Candidate, error) {
-	for _, c := range cands {
-		if c.Name == sp.Baseline {
-			return cands, nil
-		}
-	}
-	return nil, fmt.Errorf("optimize: baseline %q not among selected strategies", sp.Baseline)
-}
-
-// mixFields maps spec mix-operation names onto Mix fields, per platform
-// section.  The common section applies to every platform.
+// mixCommon maps the mix operations every platform accepts onto Mix
+// fields; each platform's own operations are in its ops.
 var mixCommon = map[string]func(*workload.Mix) *int{
 	"compute":      func(m *workload.Mix) *int { return &m.Compute },
 	"priv_loads":   func(m *workload.Mix) *int { return &m.PrivLoads },
@@ -330,50 +236,11 @@ var mixCommon = map[string]func(*workload.Mix) *int{
 	"shared_loads": func(m *workload.Mix) *int { return &m.SharedLoads },
 }
 
-var mixPlatform = map[string]map[string]func(*workload.Mix) *int{
-	"jvm": {
-		"volatile_loads":  func(m *workload.Mix) *int { return &m.VolatileLoads },
-		"volatile_stores": func(m *workload.Mix) *int { return &m.VolatileStores },
-		"publishes":       func(m *workload.Mix) *int { return &m.Publishes },
-		"card_marks":      func(m *workload.Mix) *int { return &m.CardMarks },
-		"atomic_adds":     func(m *workload.Mix) *int { return &m.AtomicAdds },
-		"lock_pairs":      func(m *workload.Mix) *int { return &m.LockPairs },
-		"full_fences":     func(m *workload.Mix) *int { return &m.FullFences },
-		"load_fences":     func(m *workload.Mix) *int { return &m.LoadFences },
-	},
-	"kernel": {
-		"read_onces":   func(m *workload.Mix) *int { return &m.ReadOnces },
-		"write_onces":  func(m *workload.Mix) *int { return &m.WriteOnces },
-		"rcu_derefs":   func(m *workload.Mix) *int { return &m.RCUDerefs },
-		"rcu_assigns":  func(m *workload.Mix) *int { return &m.RCUAssigns },
-		"spin_pairs":   func(m *workload.Mix) *int { return &m.SpinPairs },
-		"atomic_incs":  func(m *workload.Mix) *int { return &m.AtomicIncs },
-		"syscalls":     func(m *workload.Mix) *int { return &m.Syscalls },
-		"seq_reads":    func(m *workload.Mix) *int { return &m.SeqReads },
-		"seq_writes":   func(m *workload.Mix) *int { return &m.SeqWrites },
-		"mbs":          func(m *workload.Mix) *int { return &m.MBs },
-		"mandatory_mb": func(m *workload.Mix) *int { return &m.MandatoryMB },
-	},
-	"c11": {
-		"sc_loads":      func(m *workload.Mix) *int { return &m.SCLoads },
-		"sc_stores":     func(m *workload.Mix) *int { return &m.SCStores },
-		"rel_acq_pairs": func(m *workload.Mix) *int { return &m.RelAcqPairs },
-		"relaxed_ops":   func(m *workload.Mix) *int { return &m.RelaxedOps },
-		"fetch_adds":    func(m *workload.Mix) *int { return &m.FetchAdds },
-	},
-}
-
 // MixNames returns the operation names a platform's workload mix accepts,
 // sorted (common section first is not guaranteed; names are unique).
 func MixNames(platform string) []string {
-	var out []string
-	for n := range mixCommon {
-		out = append(out, n)
-	}
-	for n := range mixPlatform[platform] {
-		out = append(out, n)
-	}
-	sort.Strings(out)
+	out := slices.AppendSeq(slices.Collect(maps.Keys(mixCommon)), maps.Keys(platforms[platform].ops))
+	slices.Sort(out)
 	return out
 }
 
@@ -382,7 +249,7 @@ func MixNames(platform string) []string {
 // strategy scores identically and the search is vacuous).
 func (sp Spec) mix() (workload.Mix, error) {
 	var m workload.Mix
-	plat := mixPlatform[sp.Platform]
+	plat := platforms[sp.Platform].ops
 	platOps := 0
 	for name, v := range sp.Workload.Mix {
 		if v < 0 || v > 64 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fit"
@@ -86,11 +87,7 @@ func SoundNames(sp Spec, results map[string]CellResult) (map[string]bool, error)
 		if !ok {
 			return nil, fmt.Errorf("optimize: missing gate result for %s", c.Name)
 		}
-		ok = len(res.Gate) > 0
-		for _, g := range res.Gate {
-			ok = ok && g.Sound
-		}
-		if ok {
+		if len(res.Gate) > 0 && !slices.ContainsFunc(res.Gate, func(g GateOutcome) bool { return !g.Sound }) {
 			sound[c.Name] = true
 		}
 	}
@@ -147,7 +144,6 @@ func Assemble(sp Spec, results map[string]CellResult) (*Report, error) {
 	}
 
 	// Per-candidate verdicts, in enumeration order for now.
-	byName := map[string]*CandidateReport{}
 	for _, c := range cands {
 		cr := CandidateReport{
 			Name:  c.Name,
@@ -172,18 +168,13 @@ func Assemble(sp Spec, results map[string]CellResult) (*Report, error) {
 			rep.Unsound++
 		}
 		rep.Candidates = append(rep.Candidates, cr)
-		byName[c.Name] = &rep.Candidates[len(rep.Candidates)-1]
 	}
 
 	// Rank: sound candidates by measured performance (geometric mean,
 	// descending; name as the deterministic tiebreak), unsound after in
 	// enumeration order.
-	order := make([]*CandidateReport, len(rep.Candidates))
-	for i := range rep.Candidates {
-		order[i] = &rep.Candidates[i]
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	sort.SliceStable(rep.Candidates, func(i, j int) bool {
+		a, b := &rep.Candidates[i], &rep.Candidates[j]
 		if a.Sound != b.Sound {
 			return a.Sound
 		}
@@ -195,17 +186,14 @@ func Assemble(sp Spec, results map[string]CellResult) (*Report, error) {
 		}
 		return a.Name < b.Name
 	})
-	ranked := make([]CandidateReport, len(order))
-	for i, cr := range order {
-		if cr.Sound {
+	for i := range rep.Candidates {
+		if cr := &rep.Candidates[i]; cr.Sound {
 			cr.Rank = i + 1
 			if i == 0 {
 				rep.Best = cr.Name
 			}
 		}
-		ranked[i] = *cr
 	}
-	rep.Candidates = ranked
 	return rep, nil
 }
 
@@ -228,31 +216,28 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	results := map[string]CellResult{}
-	gates, err := sp.GateCells()
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range gates {
-		res, err := RunCell(c, nil)
+	run := func(cells []Cell, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		results[res.Cell] = res
+		for _, c := range cells {
+			res, err := RunCell(c, nil)
+			if err != nil {
+				return err
+			}
+			results[res.Cell] = res
+		}
+		return nil
+	}
+	if err := run(sp.GateCells()); err != nil {
+		return nil, err
 	}
 	sound, err := SoundNames(sp, results)
 	if err != nil {
 		return nil, err
 	}
-	score, err := sp.ScoreCells(sound)
-	if err != nil {
+	if err := run(sp.ScoreCells(sound)); err != nil {
 		return nil, err
-	}
-	for _, c := range score {
-		res, err := RunCell(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		results[res.Cell] = res
 	}
 	return Assemble(sp, results)
 }

@@ -59,6 +59,10 @@ func ARMv8() *Profile { return arch.ARMv8() }
 // POWER7 returns the paper's POWER7-like evaluation profile.
 func POWER7() *Profile { return arch.POWER7() }
 
+// ProfileByName returns a fresh evaluation profile by name: "armv8" or
+// "power7".
+func ProfileByName(name string) (*Profile, error) { return arch.ByName(name) }
+
 // Profiles returns both evaluation profiles keyed as the paper's figures
 // name them ("arm", "power").
 func Profiles() map[string]*Profile { return arch.Profiles() }

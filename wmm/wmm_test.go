@@ -17,6 +17,14 @@ func TestProfiles(t *testing.T) {
 	if wmm.ARMv8().Name != "armv8" || wmm.POWER7().Name != "power7" {
 		t.Error("profile names wrong")
 	}
+	for _, name := range []string{"armv8", "power7"} {
+		if p, err := wmm.ProfileByName(name); err != nil || p.Name != name {
+			t.Errorf("ProfileByName(%q) = %v, %v", name, p, err)
+		}
+	}
+	if _, err := wmm.ProfileByName("arm"); err == nil {
+		t.Error("ProfileByName accepted the figure key \"arm\"")
+	}
 }
 
 func TestBenchmarkRegistries(t *testing.T) {
