@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -23,35 +22,15 @@ func kernelProfile() *arch.Profile { return arch.ARMv8() }
 // in turn").
 const surveySize = 1024
 
-// surveyCache memoizes the 154-point dataset shared by Figures 7 and 8 so
-// running both does not repeat the most expensive measurement.  The mutex
-// covers the whole computation: when the engine schedules Figures 7 and 8
-// concurrently, the second blocks until the first has built the shared
-// dataset rather than duplicating it.
-var (
-	surveyMu    sync.Mutex
-	surveyCache = map[string][]core.ProbeResult{}
-)
-
-// runKernelSurvey produces the Figure 7/8 dataset.
+// runKernelSurvey measures the Figure 7/8 dataset.  Each figure measures
+// it afresh through the Runtime, so a driver's results and work counts do
+// not depend on which other drivers share its process.
 func runKernelSurvey(o Options) ([]core.ProbeResult, error) {
-	surveyMu.Lock()
-	defer surveyMu.Unlock()
-	key := fmt.Sprintf("%v/%d/%d", o.Short, o.samples(), o.seed())
-	if rs, ok := surveyCache[key]; ok {
-		return rs, nil
-	}
 	benches := linuxbench.Suite()
 	if o.Short {
 		benches = benches[:4]
 	}
-	rs, err := o.survey(benches, workload.DefaultEnv(kernelProfile()),
-		kernel.Paths, surveySize)
-	if err != nil {
-		return nil, err
-	}
-	surveyCache[key] = rs
-	return rs, nil
+	return o.survey(benches, workload.DefaultEnv(kernelProfile()), kernel.Paths, surveySize)
 }
 
 // Fig7 regenerates Figure 7: the sum of relative performance across all
