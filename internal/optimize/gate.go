@@ -112,7 +112,8 @@ func plainStore[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.St
 func plainLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.Load(r, base, off) }
 
 // addrDepLoad is mp's data load through the "pointer" the flag load left
-// in register 2: its address depends on that value.
+// in register 2: its address, built in scratch registers 4 and 5,
+// depends on that value.
 func addrDepLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) {
 	b.Eor(4, 2, 2)
 	b.Add(5, base, 4)

@@ -2,6 +2,8 @@ package optimize
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/platform/c11"
@@ -10,12 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// A platform is everything the optimizer knows about one platform.  Adding
-// a platform is one entry in platforms: nothing else in the package names
-// a platform.
+// A platform is everything the optimizer knows about one platform.
+// Adding a platform is one entry in platforms, plus the StrategyEncoding
+// field that encodes its strategies in the report.
 type platform struct {
-	// space enumerates the strategy space as candidates, in a stable
-	// order.
+	// space enumerates the strategy space as candidates, in stable order.
 	space func() []Candidate
 	// baseline is the stock strategy and mix the default scoring mix.
 	baseline string
@@ -145,7 +146,7 @@ var platforms = map[string]platform{
 func (sp Spec) lookupPlatform() (platform, error) {
 	p, ok := platforms[sp.Platform]
 	if !ok {
-		return p, fmt.Errorf("optimize: unknown platform %q (want \"jvm\", \"kernel\" or \"c11\")", sp.Platform)
+		return p, fmt.Errorf("optimize: unknown platform %q (want one of %v)", sp.Platform, slices.Sorted(maps.Keys(platforms)))
 	}
 	return p, nil
 }
