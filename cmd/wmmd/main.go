@@ -11,7 +11,7 @@
 //	     [-cache-retain 168h] [-tenant-max-queued N]
 //	     [-tenant-max-running N] [-tenant-weights a=2,b=1]
 //	     [-ha] [-ha-id ID] [-ha-ttl 10s] [-ops-addr :8348]
-//	     [-legacy-routes=true] [-print-api-doc] [-debug]
+//	     [-legacy-routes=off] [-print-api-doc] [-debug]
 //
 // API (versioned surface; see docs/API.md for the full contract):
 //
@@ -48,10 +48,10 @@
 // Every non-2xx response carries the uniform JSON error envelope
 // {"error": {"code": "...", "message": "..."}} — including unknown v1
 // routes (404) and wrong methods (405 + Allow).  The original
-// unversioned routes (/experiments, /runs, ...) remain as deprecated
-// shims that answer identically plus Deprecation/Sunset headers;
-// -legacy-routes=off sunsets them early (410 gone naming the v1
-// successor).  -print-api-doc emits the machine-readable route table
+// unversioned routes (/experiments, /runs, ...) are sunset by default:
+// they answer 410 gone naming the v1 successor.  Until their sunset date
+// (2026-12-31), -legacy-routes=on serves them as deprecated shims that
+// answer identically plus Deprecation/Sunset headers.  -print-api-doc emits the machine-readable route table
 // (the committed copy is docs/api-v1.json) and exits.
 //
 // Execution is sharded: each run decomposes into per-experiment jobs on
@@ -216,7 +216,7 @@ func main() {
 	haID := flag.String("ha-id", "", "lease owner identity for -ha (default hostname-pid)")
 	haTTL := flag.Duration("ha-ttl", 10*time.Second, "coordinator lease TTL for -ha")
 	opsAddr := flag.String("ops-addr", "", "always-on operational listener (healthz/readyz) for -ha standbys (empty = none)")
-	legacyRoutes := flag.String("legacy-routes", "on", "serve the deprecated unversioned routes (/runs, /experiments): on, or off (410 gone naming the v1 successor)")
+	legacyRoutes := flag.String("legacy-routes", "off", "serve the deprecated unversioned routes (/runs, /experiments): off (410 gone naming the v1 successor), or on until their 2026-12-31 sunset")
 	printAPIDoc := flag.Bool("print-api-doc", false, "print the machine-readable API description (docs/api-v1.json) and exit")
 	debug := flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
 	flag.Parse()

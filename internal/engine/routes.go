@@ -10,9 +10,10 @@ import (
 )
 
 // LegacySunset is the sunset date advertised (RFC 8594 Sunset header)
-// on every legacy unversioned route.  After this date a release may
-// flip ServerOptions.DisableLegacy on by default; until then legacy
-// requests are answered normally with deprecation headers attached.
+// on every legacy unversioned route.  wmmd sunsets the routes by default
+// (ServerOptions.DisableLegacy); until this date -legacy-routes=on still
+// answers legacy requests normally, with deprecation headers attached.
+// After it, the shims, the flag and their tests go.
 const LegacySunset = "Thu, 31 Dec 2026 00:00:00 GMT"
 
 // apiRoute is one row of the wmmd route table.

@@ -197,8 +197,9 @@ type ServerOptions struct {
 	OnFenced func()
 	// DisableLegacy sunsets the pre-v1 unversioned routes (/runs,
 	// /experiments, ...): they answer 410 gone pointing at their v1
-	// successor instead of serving.  Off by default until the
-	// LegacySunset date; wmmd exposes it as -legacy-routes=off.
+	// successor instead of serving.  wmmd sets it unless started with
+	// -legacy-routes=on, which it accepts until the LegacySunset date;
+	// the zero value still serves the shims.
 	DisableLegacy bool
 }
 
