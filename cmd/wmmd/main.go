@@ -51,8 +51,9 @@
 // unversioned routes (/experiments, /runs, ...) are sunset by default:
 // they answer 410 gone naming the v1 successor.  Until their sunset date
 // (2026-12-31), -legacy-routes=on serves them as deprecated shims that
-// answer identically plus Deprecation/Sunset headers.  -print-api-doc emits the machine-readable route table
-// (the committed copy is docs/api-v1.json) and exits.
+// answer identically plus Deprecation/Sunset headers.  -print-api-doc
+// emits the machine-readable route table (the committed copy is
+// docs/api-v1.json) and exits.
 //
 // Execution is sharded: each run decomposes into per-experiment jobs on
 // a shared queue, served by -local-slots in-process executors and by

@@ -150,7 +150,7 @@ func RunCell(cell Cell, meas core.Measurer) (CellResult, error) {
 	p := platforms[sp.Platform]
 	env := cands[i].env(prof).NopBase(p.paths)
 	if cell.Kind == "fit" {
-		env = cands[i].env(prof).WithCost(p.costPaths, p.paths, cell.CostNs)
+		env = env.WithCost(p.costPaths, p.paths, cell.CostNs)
 	}
 	bench, err := sp.benchmark()
 	if err != nil {

@@ -206,7 +206,7 @@ func (sp Spec) Candidates() ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := p.space()
+	cands := slices.Clone(p.space)
 	named := func(n string) func(Candidate) bool { return func(c Candidate) bool { return c.Name == n } }
 	if len(sp.Strategies) > 0 {
 		var missing []string

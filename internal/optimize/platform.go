@@ -16,8 +16,8 @@ import (
 // Adding a platform is one entry in platforms, plus the StrategyEncoding
 // field that encodes its strategies in the report.
 type platform struct {
-	// space enumerates the strategy space as candidates, in stable order.
-	space func() []Candidate
+	// space is the strategy space as candidates, in enumeration order.
+	space []Candidate
 	// baseline is the stock strategy and mix the default scoring mix.
 	baseline string
 	mix      map[string]int
@@ -43,7 +43,7 @@ var platforms = map[string]platform{
 					func(e workload.Env) workload.Env { e.JVMStrategy = st; return e }})
 			}
 			return out
-		},
+		}(),
 		baseline: "jdk8-barriers",
 		mix: map[string]int{
 			"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
@@ -78,7 +78,7 @@ var platforms = map[string]platform{
 					func(e workload.Env) workload.Env { e.KernelStrategy = st; return e }})
 			}
 			return out
-		},
+		}(),
 		baseline: "base case",
 		mix: map[string]int{
 			"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
@@ -118,7 +118,7 @@ var platforms = map[string]platform{
 					func(e workload.Env) workload.Env { e.C11Strategy = st; return e }})
 			}
 			return out
-		},
+		}(),
 		baseline: "barriers",
 		mix: map[string]int{
 			"compute": 6, "priv_loads": 4, "priv_stores": 2, "shared_loads": 1,
