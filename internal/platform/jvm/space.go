@@ -3,10 +3,11 @@ package jvm
 import "fmt"
 
 // This file makes the JVM fencing-strategy space an enumerable,
-// declaratively-encoded value set instead of two named constructors: the
-// optimizer enumerates candidates from here, ships them across the wire as
-// Specs, and reconstructs bit-identical Strategy values on whichever worker
-// executes the cell.
+// declaratively-encoded value set instead of two named constructors.  The
+// optimizer enumerates its candidates from here.  Its cells carry only a
+// strategy's name, which whichever worker executes a cell resolves against
+// its own enumeration of the space.  A strategy's Spec is its declarative
+// encoding in the optimizer's report.
 
 // Lowering selector values for Spec.Loads / Spec.Stores.
 const (

@@ -3,8 +3,10 @@ package kernel
 import "fmt"
 
 // Declarative strategy-space encoding: the Figure 10 implementations as
-// round-trippable values the optimizer can enumerate, ship across the wire
-// and reconstruct on workers.
+// enumerable, round-trippable values.  The optimizer enumerates its
+// candidates from here; its cells carry only a strategy's name, which the
+// executing worker resolves against its own enumeration of the space.  A
+// strategy's Spec is its declarative encoding in the optimizer's report.
 
 // Spec is the round-trippable encoding of a Strategy.  The RBD field uses
 // the Figure 10 x-axis names ("base case", "ctrl", "ctrl+isb",
