@@ -180,8 +180,8 @@ func (sp Spec) Validate() error {
 }
 
 // Candidate is one strategy under consideration: its canonical name, its
-// declarative encoding for the report, and its binding into a workload
-// environment.
+// declarative encoding for the report (shared by every report, so
+// read-only), and its binding into a workload environment.
 type Candidate struct {
 	Name string
 	enc  StrategyEncoding
