@@ -476,7 +476,7 @@ func main() {
 		stopRun() // releases the lease for a fast standby takeover
 	}()
 
-	log.Printf("wmmd: HA %s standing by for coordinator lease (ttl %v, data %s)", ctrlID(ctrl, *haID), *haTTL, dataDesc)
+	log.Printf("wmmd: HA standing by for coordinator lease (ttl %v, data %s)", *haTTL, dataDesc)
 	err = ctrl.Run(runCtx)
 	switch {
 	case err == nil:
@@ -505,13 +505,6 @@ func ctrlHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		haCtrl.Handler().ServeHTTP(w, r)
 	})
-}
-
-func ctrlID(c *ha.Controller, flagID string) string {
-	if flagID != "" {
-		return flagID
-	}
-	return "node"
 }
 
 // listenRetry binds addr, retrying for one lease TTL: after a failover

@@ -125,14 +125,10 @@ type ScanResult struct {
 	Sens   fit.Sensitivity
 }
 
-// SensitivityScan performs the §3 procedure: measure the nop-padded base
-// case, sweep the cost-function size over the chosen code paths, and fit
-// the sensitivity model to the relative performances.
-func SensitivityScan(cfg ScanConfig) (ScanResult, error) {
-	return Session{}.SensitivityScan(cfg)
-}
-
-// SensitivityScan runs the §3 scan through the session's backend.
+// SensitivityScan performs the §3 procedure through the session's
+// backend: measure the nop-padded base case, sweep the cost-function size
+// over the chosen code paths, and fit the sensitivity model to the
+// relative performances.
 func (s Session) SensitivityScan(cfg ScanConfig) (ScanResult, error) {
 	sizes := cfg.Sizes
 	if sizes == nil {
@@ -192,13 +188,8 @@ type ProbeResult struct {
 
 // FixedProbe injects a single large cost function (the paper uses 1024
 // loop iterations for the kernel survey) into one code path and returns
-// the relative performance against the nop base case.
-func FixedProbe(bench *workload.Benchmark, env workload.Env, path arch.PathID,
-	allPaths []arch.PathID, size int64, samples int, seed int64) (ProbeResult, error) {
-	return Session{}.FixedProbe(bench, env, path, allPaths, size, samples, seed)
-}
-
-// FixedProbe runs the fixed-size probe through the session's backend.
+// the relative performance against the nop base case, measured through
+// the session's backend.
 func (s Session) FixedProbe(bench *workload.Benchmark, env workload.Env, path arch.PathID,
 	allPaths []arch.PathID, size int64, samples int, seed int64) (ProbeResult, error) {
 	if samples <= 0 {
@@ -222,15 +213,9 @@ func (s Session) FixedProbe(bench *workload.Benchmark, env workload.Env, path ar
 }
 
 // Survey runs the fixed-probe measurement for every (benchmark, path)
-// pair: the Figure 7/8 dataset (14 macros x 11 benchmarks = 154 points for
-// the kernel).  The nop base case is measured once per benchmark and
-// shared across its probes.
-func Survey(benches []*workload.Benchmark, env workload.Env, paths []arch.PathID,
-	size int64, samples int, seed int64) ([]ProbeResult, error) {
-	return Session{}.Survey(benches, env, paths, size, samples, seed)
-}
-
-// Survey runs the fixed-probe survey through the session's backend.
+// pair through the session's backend: the Figure 7/8 dataset (14 macros
+// x 11 benchmarks = 154 points for the kernel).  The nop base case is
+// measured once per benchmark and shared across its probes.
 func (s Session) Survey(benches []*workload.Benchmark, env workload.Env, paths []arch.PathID,
 	size int64, samples int, seed int64) ([]ProbeResult, error) {
 	if samples <= 0 {
@@ -280,15 +265,9 @@ func SumByBench(rs []ProbeResult) map[string]float64 {
 }
 
 // CompareStrategies measures the relative performance of a test
-// environment against a base environment on one benchmark, both nop-padded
-// over allPaths so binary size stays invariant.
-func CompareStrategies(bench *workload.Benchmark, envBase, envTest workload.Env,
-	allPaths []arch.PathID, samples int, seed int64) (stats.Comparative, error) {
-	return Session{}.CompareStrategies(bench, envBase, envTest, allPaths, samples, seed)
-}
-
-// CompareStrategies runs the strategy comparison through the session's
-// backend.
+// environment against a base environment on one benchmark through the
+// session's backend, both nop-padded over allPaths so binary size stays
+// invariant.
 func (s Session) CompareStrategies(bench *workload.Benchmark, envBase, envTest workload.Env,
 	allPaths []arch.PathID, samples int, seed int64) (stats.Comparative, error) {
 	if samples <= 0 {

@@ -32,7 +32,7 @@ func calibration(t *testing.T, prof *arch.Profile) core.Calibration {
 // with cost size.
 func TestSensitivityScanRecoversSpark(t *testing.T) {
 	prof := arch.ARMv8()
-	res, err := core.SensitivityScan(core.ScanConfig{
+	res, err := core.Session{}.SensitivityScan(core.ScanConfig{
 		Bench:     javabench.Spark(),
 		Env:       workload.DefaultEnv(prof),
 		CostPaths: []arch.PathID{jvm.PathAnyBarrier},
@@ -59,7 +59,7 @@ func TestSensitivityScanRecoversSpark(t *testing.T) {
 
 // TestScanRequiresCalibration checks the error path.
 func TestScanRequiresCalibration(t *testing.T) {
-	_, err := core.SensitivityScan(core.ScanConfig{
+	_, err := core.Session{}.SensitivityScan(core.ScanConfig{
 		Bench: javabench.Spark(),
 		Env:   workload.DefaultEnv(arch.ARMv8()),
 	})
@@ -74,11 +74,11 @@ func TestFixedProbeDirection(t *testing.T) {
 	prof := arch.ARMv8()
 	env := workload.DefaultEnv(prof)
 	bench := linuxbench.NetperfUDP()
-	hot, err := core.FixedProbe(bench, env, kernel.PathReadOnce, kernel.Paths, 1024, 3, 5)
+	hot, err := core.Session{}.FixedProbe(bench, env, kernel.PathReadOnce, kernel.Paths, 1024, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.FixedProbe(bench, env, kernel.PathWMB, kernel.Paths, 1024, 3, 5)
+	cold, err := core.Session{}.FixedProbe(bench, env, kernel.PathWMB, kernel.Paths, 1024, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCompareStrategiesDetectsHeavySS(t *testing.T) {
 	st := test.JVMStrategy
 	st.HeavyStoreStore = true
 	test.JVMStrategy = st
-	rel, err := core.CompareStrategies(javabench.Spark(), base, test,
+	rel, err := core.Session{}.CompareStrategies(javabench.Spark(), base, test,
 		[]arch.PathID{jvm.PathAnyBarrier}, 3, 9)
 	if err != nil {
 		t.Fatal(err)

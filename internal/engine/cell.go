@@ -8,6 +8,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/stats"
 	"repro/internal/workload"
+	"repro/wmm/client"
 )
 
 // Cell is one unit of dispatched work: an experiment of a run, a shard
@@ -38,15 +39,28 @@ func newCell(name, key, kind string, desc any) Cell {
 
 // experimentCell is the descriptor of one experiment of a run.
 type experimentCell struct {
-	Experiment string        `json:"experiment"`
-	Samples    int           `json:"samples,omitempty"`
-	Seed       int64         `json:"seed,omitempty"`
-	Short      bool          `json:"short"`
-	Adaptive   *AdaptiveSpec `json:"adaptive,omitempty"`
+	Experiment string               `json:"experiment"`
+	Samples    int                  `json:"samples,omitempty"`
+	Seed       int64                `json:"seed,omitempty"`
+	Short      bool                 `json:"short"`
+	Adaptive   *client.AdaptiveSpec `json:"adaptive,omitempty"`
 }
 
 func (c experimentCell) options() RunOptions {
-	return RunOptions{Samples: c.Samples, Seed: c.Seed, Short: c.Short, Adaptive: c.Adaptive.Rule()}
+	return RunOptions{Samples: c.Samples, Seed: c.Seed, Short: c.Short, Adaptive: stopRule(c.Adaptive)}
+}
+
+// stopRule converts the wire form of an adaptive rule to the stats rule
+// (nil-safe).
+func stopRule(a *client.AdaptiveSpec) *stats.StopRule {
+	if a == nil {
+		return nil
+	}
+	return &stats.StopRule{
+		RelPrecision: a.RelPrecision,
+		MinSamples:   a.MinSamples,
+		MaxSamples:   a.MaxSamples,
+	}
 }
 
 // RunCell executes one cell from its wire form.  Local dispatcher slots

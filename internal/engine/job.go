@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/runstore"
+	"repro/wmm/client"
 )
 
 // Every v1 job — an experiment run, a litmus campaign, an optimizer job
@@ -84,8 +85,8 @@ type jobBody interface {
 	drive(ctx context.Context, j *serverJob) ([]*Result, error)
 	// started and done fold one cell's progress in; a non-nil event is
 	// streamed to subscribers.
-	started(name string) *event
-	done(res *Result) *event
+	started(name string) *client.Event
+	done(res *Result) *client.Event
 	status(j *serverJob, v statusView) any
 	// canonical is a finished job's canonical JSON; nil means the job
 	// ended without one.
@@ -119,7 +120,7 @@ type serverJob struct {
 	final         []*Result // ordered results, once the job ends
 	err           string
 	userCancelled bool // DELETE, as opposed to shutdown, cancelled it
-	subs          []chan event
+	subs          []chan client.Event
 }
 
 // newJob builds a running job whose deadline, if any, starts now.
@@ -172,11 +173,11 @@ func (j *serverJob) dispatch(ctx context.Context, cells []Cell) ([]*Result, erro
 // ExperimentStarted and ExperimentDone make the job the dispatcher's
 // progress Sink.
 func (j *serverJob) ExperimentStarted(name string) {
-	j.fold(func() *event { return j.body.started(name) })
+	j.fold(func() *client.Event { return j.body.started(name) })
 }
 
 func (j *serverJob) ExperimentDone(res *Result) {
-	j.fold(func() *event {
+	j.fold(func() *client.Event {
 		j.completed++
 		ev := j.body.done(res)
 		if ev != nil {
@@ -191,7 +192,7 @@ func (j *serverJob) ExperimentDone(res *Result) {
 
 // fold applies one progress step under the job's lock and fans its
 // event out to stream subscribers.
-func (j *serverJob) fold(step func() *event) {
+func (j *serverJob) fold(step func() *client.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if ev := step(); ev != nil {
@@ -356,7 +357,7 @@ func (s *Server) submitJob(k *jobKind) http.HandlerFunc {
 		k.setActive(1)
 
 		go s.execute(ctx, j)
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "state": StateRunning, "total": h.total})
+		writeJSON(w, http.StatusAccepted, client.Submitted{ID: j.id, State: StateRunning, Total: h.total})
 	}
 }
 
@@ -378,7 +379,7 @@ func (s *Server) execute(ctx context.Context, j *serverJob) {
 		j.err = err.Error()
 	}
 	state, errMsg, userCancelled := j.state, j.err, j.userCancelled
-	end := event{Event: "end", State: state, Completed: j.completed, Total: j.hdr.total}
+	end := client.Event{Event: "end", State: state, Completed: j.completed, Total: j.hdr.total}
 	subs := j.subs
 	j.subs = nil
 	j.mu.Unlock()
@@ -627,7 +628,7 @@ func (s *Server) listJobs(k *jobKind, legacy bool) http.HandlerFunc {
 			}
 		}
 		end := min(start+limit, len(jobs))
-		pg := page[any]{Items: []any{}}
+		pg := page{Items: []any{}}
 		if start < len(jobs) {
 			pg.Items = rows(jobs[start:end])
 		}
@@ -694,10 +695,10 @@ func (j *serverJob) serveCanonical(w http.ResponseWriter) {
 // same lock that appends the subscriber is what makes the stream
 // exactly-once: an event is either reflected in the snapshot or
 // delivered on ch, never both and never neither.
-func (j *serverJob) subscribe(ch chan event) (snapshot any, end event, subscribed bool) {
+func (j *serverJob) subscribe(ch chan client.Event) (snapshot any, end client.Event, subscribed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	end = event{Event: "end", State: j.state, Completed: j.completed, Total: j.hdr.total}
+	end = client.Event{Event: "end", State: j.state, Completed: j.completed, Total: j.hdr.total}
 	if j.state == StateRunning {
 		j.subs = append(j.subs, ch)
 		subscribed = true
@@ -706,7 +707,7 @@ func (j *serverJob) subscribe(ch chan event) (snapshot any, end event, subscribe
 }
 
 // unsubscribe removes ch from the job's subscriber list, if present.
-func (j *serverJob) unsubscribe(ch chan event) {
+func (j *serverJob) unsubscribe(ch chan client.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, sub := range j.subs {
@@ -728,7 +729,7 @@ func (j *serverJob) stream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 
-	ch := make(chan event, 64)
+	ch := make(chan client.Event, 64)
 	snapshot, end, subscribed := j.subscribe(ch)
 
 	if err := enc.Encode(snapshot); err != nil {
@@ -784,10 +785,10 @@ func (s *Server) cancelJob(k *jobKind) http.HandlerFunc {
 		j.mu.Unlock()
 		j.cancel()
 		if state == StateRunning {
-			writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "cancelling"})
+			writeJSON(w, http.StatusOK, client.CancelResponse{ID: j.id, State: "cancelling"})
 			return
 		}
 		s.remove(j)
-		writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "state": state, "deleted": true})
+		writeJSON(w, http.StatusOK, client.CancelResponse{ID: j.id, State: state, Deleted: true})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/litmus"
 	"repro/internal/litmus/gen"
+	"repro/wmm/client"
 )
 
 // Litmus campaigns are the second job family the sharded backend
@@ -18,38 +19,12 @@ import (
 // (seed, count, max_threads), so every party regenerates the identical
 // batch and a shard executes byte-identically wherever it lands.
 
-// LitmusSpec is the body of POST /api/v1/litmus: one generated litmus
-// campaign against one simulated machine.
-type LitmusSpec struct {
-	// Arch selects the machine: "armv8" or "power7".
-	Arch string `json:"arch"`
-	// GenSeed drives the generator (0 = 1).
-	GenSeed int64 `json:"gen_seed,omitempty"`
-	// Count is the number of distinct generated tests.
-	Count int `json:"count"`
-	// MaxThreads caps the cycle length (2..4; 0 = 4).
-	MaxThreads int `json:"max_threads,omitempty"`
-	// Trials is the randomized trial count per test (0 = 400).
-	Trials int `json:"trials,omitempty"`
-	// Seed is the runner's base seed (0 = 1).
-	Seed int64 `json:"seed,omitempty"`
-	// ShardSize is the number of tests per dispatched shard (0 = 50).
-	ShardSize int `json:"shard_size,omitempty"`
-	// Parallel shards in flight at once (0 = server default).
-	Parallel int `json:"parallel,omitempty"`
-	// TimeoutMs bounds the whole campaign; 0 = no deadline.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Tenant names the fair-share queue and quota bucket the campaign is
-	// accounted to (the X-WMM-Tenant header wins; empty = "default").
-	Tenant string `json:"tenant,omitempty"`
-}
-
 // maxLitmusCount bounds a campaign; the recipe space saturates long
 // before this, and gen.Generate fails loudly when a Count is impossible.
 const maxLitmusCount = 20_000
 
-// withDefaults fills the zero values in.
-func (sp LitmusSpec) withDefaults() LitmusSpec {
+// litmusDefaults fills a campaign spec's zero values in.
+func litmusDefaults(sp client.LitmusSpec) client.LitmusSpec {
 	if sp.GenSeed == 0 {
 		sp.GenSeed = 1
 	}
@@ -68,9 +43,10 @@ func (sp LitmusSpec) withDefaults() LitmusSpec {
 	return sp
 }
 
-// validate rejects malformed specs, including configs the generator
-// cannot satisfy (a dry generation is cheap: recipes only, no programs).
-func (sp LitmusSpec) validate() error {
+// validateLitmus rejects malformed campaign specs, including configs the
+// generator cannot satisfy (a dry generation is cheap: recipes only, no
+// programs).
+func validateLitmus(sp client.LitmusSpec) error {
 	if _, err := arch.ByName(sp.Arch); err != nil {
 		return err
 	}
@@ -89,8 +65,8 @@ func (sp LitmusSpec) validate() error {
 	return nil
 }
 
-// shards cuts the campaign into contiguous index ranges.
-func (sp LitmusSpec) shards() []LitmusShard {
+// litmusShards cuts a campaign into contiguous index ranges.
+func litmusShards(sp client.LitmusSpec) []LitmusShard {
 	var out []LitmusShard
 	for lo := 0; lo < sp.Count; lo += sp.ShardSize {
 		hi := lo + sp.ShardSize

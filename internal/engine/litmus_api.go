@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/wmm/client"
 )
 
 // Litmus campaign API:
@@ -21,24 +23,25 @@ import (
 
 // litmusJob is the litmus kind's half of a job: one cell per shard.
 type litmusJob struct {
-	spec      LitmusSpec
+	spec      client.LitmusSpec
 	shards    []LitmusShard
 	completed []*Result // shard results, completion order, while running
 }
 
 // LitmusStatus is the snapshot served by GET /api/v1/litmus/{id}.  The
 // id / kind / state / tenant / started_at / finished_at header is the
-// envelope shared by every v1 job resource.
+// envelope shared by every v1 job resource.  It is the server's form of
+// client.LitmusStatus, with typed results.
 type LitmusStatus struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
 	State  string `json:"state"`
 	Tenant string `json:"tenant,omitempty"`
 	// FinishedAt is set once the campaign leaves the running state.
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
-	Spec       LitmusSpec `json:"spec"`
-	Total      int        `json:"total"`     // shards
-	Completed  int        `json:"completed"` // shards finished
+	FinishedAt *time.Time        `json:"finished_at,omitempty"`
+	Spec       client.LitmusSpec `json:"spec"`
+	Total      int               `json:"total"`     // shards
+	Completed  int               `json:"completed"` // shards finished
 	// Tests and Trials aggregate the completed shards' execution
 	// accounting (tests run, randomized trials performed).
 	Tests     int       `json:"tests"`
@@ -51,12 +54,12 @@ type LitmusStatus struct {
 
 // parseLitmus is the litmus kind's submission.
 func (s *Server) parseLitmus(r *http.Request) (jobBody, jobHeader, error) {
-	var spec LitmusSpec
+	var spec client.LitmusSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		return nil, jobHeader{}, fmt.Errorf("bad litmus spec: %v", err)
 	}
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	spec = litmusDefaults(spec)
+	if err := validateLitmus(spec); err != nil {
 		return nil, jobHeader{}, fmt.Errorf("bad litmus spec: %v", err)
 	}
 	if spec.Parallel <= 0 {
@@ -71,8 +74,8 @@ func (s *Server) parseLitmus(r *http.Request) (jobBody, jobHeader, error) {
 }
 
 // newLitmusJob builds a campaign from its normalised spec.
-func newLitmusJob(spec LitmusSpec) (jobBody, jobHeader, error) {
-	b := &litmusJob{spec: spec, shards: spec.shards()}
+func newLitmusJob(spec client.LitmusSpec) (jobBody, jobHeader, error) {
+	b := &litmusJob{spec: spec, shards: litmusShards(spec)}
 	return b, jobHeader{tenant: spec.Tenant, total: len(b.shards), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
 }
 
@@ -84,9 +87,9 @@ func (b *litmusJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) 
 	return j.dispatch(ctx, cells)
 }
 
-func (b *litmusJob) started(string) *event { return nil }
+func (b *litmusJob) started(string) *client.Event { return nil }
 
-func (b *litmusJob) done(res *Result) *event {
+func (b *litmusJob) done(res *Result) *client.Event {
 	b.completed = append(b.completed, res)
 	return nil
 }

@@ -126,10 +126,8 @@ func TestLitmusAPILocal(t *testing.T) {
 // slots yields canonical JSON byte-identical to running the spec's
 // shards in order with RunLitmusShard.
 func TestLitmusDispatchIdentity(t *testing.T) {
-	spec := LitmusSpec{Arch: litmusSpecJSON.Arch, GenSeed: litmusSpecJSON.GenSeed, Count: litmusSpecJSON.Count,
-		Trials: litmusSpecJSON.Trials, Seed: litmusSpecJSON.Seed, ShardSize: litmusSpecJSON.ShardSize}
 	var shards []*Result
-	for _, sh := range spec.withDefaults().shards() {
+	for _, sh := range litmusShards(litmusDefaults(litmusSpecJSON)) {
 		res, err := RunLitmusShard(context.Background(), sh)
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,8 @@ import (
 
 // OptimizeSpec is the body of POST /api/v1/optimize: one fence-strategy
 // optimizer job (see optimize.Spec for the search parameters) plus the
-// execution controls shared by every v1 job resource.
+// execution controls shared by every v1 job resource.  It is the
+// server's form of client.OptimizeSpec, embedding the typed search spec.
 type OptimizeSpec struct {
 	optimize.Spec
 	// Parallel cells in flight at once (0 = server default).

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/optimize"
+	"repro/wmm/client"
 )
 
 // Fence-strategy optimizer API:
@@ -50,6 +51,7 @@ const (
 )
 
 // OptimizeStatus is the snapshot served by GET /api/v1/optimize/{id}.
+// It is the server's form of client.OptimizeStatus, with the typed report.
 type OptimizeStatus struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
@@ -175,10 +177,10 @@ func (b *optimizeJob) drive(ctx context.Context, j *serverJob) ([]*Result, error
 	return nil, err
 }
 
-func (b *optimizeJob) started(string) *event { return nil }
+func (b *optimizeJob) started(string) *client.Event { return nil }
 
 // done folds a completed cell into the phase counters and best-so-far.
-func (b *optimizeJob) done(res *Result) *event {
+func (b *optimizeJob) done(res *Result) *client.Event {
 	var cr optimize.CellResult
 	decoded := res.Status == StatusOK && json.Unmarshal([]byte(res.Output), &cr) == nil
 	switch {

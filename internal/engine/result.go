@@ -122,26 +122,6 @@ type RunOptions struct {
 	Adaptive *stats.StopRule
 }
 
-// AdaptiveSpec is the wire form of stats.StopRule used by the v1 API and
-// job protocol.
-type AdaptiveSpec struct {
-	RelPrecision float64 `json:"rel_precision"`
-	MinSamples   int     `json:"min_samples,omitempty"`
-	MaxSamples   int     `json:"max_samples,omitempty"`
-}
-
-// Rule converts the wire form to the stats rule (nil-safe).
-func (a *AdaptiveSpec) Rule() *stats.StopRule {
-	if a == nil {
-		return nil
-	}
-	return &stats.StopRule{
-		RelPrecision: a.RelPrecision,
-		MinSamples:   a.MinSamples,
-		MaxSamples:   a.MaxSamples,
-	}
-}
-
 // Sink observes a run's progress.  Callbacks may arrive from multiple
 // experiment goroutines; the engine does not serialize them.
 type Sink interface {

@@ -14,37 +14,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runstore"
+	"repro/wmm/client"
 )
-
-// RunSpec is the body of POST /runs.
-type RunSpec struct {
-	// Experiments to run, in order; empty = the full evaluation in
-	// paper order.
-	Experiments []string `json:"experiments,omitempty"`
-	// Short selects the reduced sweep.
-	Short bool `json:"short"`
-	// Samples per measurement (0 = driver default).
-	Samples int `json:"samples,omitempty"`
-	// Seed is the base random seed (0 = 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Parallel experiments in flight (0 = server default).
-	Parallel int `json:"parallel,omitempty"`
-	// TimeoutMs bounds the whole run; 0 = no deadline.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Adaptive opts in to sequential stopping: each measurement draws
-	// samples until its Student-t CI is tight enough (see stats.StopRule)
-	// instead of the fixed count.
-	Adaptive *AdaptiveSpec `json:"adaptive,omitempty"`
-	// NoCache bypasses the server's result cache for this run (also
-	// settable per-request with ?nocache=1): every job executes and
-	// nothing is committed.
-	NoCache bool `json:"nocache,omitempty"`
-	// Tenant names the fair-share queue and quota bucket the run is
-	// accounted to.  The X-WMM-Tenant request header takes precedence;
-	// empty means "default".  Tenancy never affects result bytes — the
-	// result cache deduplicates identical jobs across tenants.
-	Tenant string `json:"tenant,omitempty"`
-}
 
 // Run states.
 const (
@@ -60,18 +31,19 @@ const (
 
 // RunStatus is the snapshot served by GET /runs/{id}.  The id / kind /
 // state / tenant / started_at / finished_at header is the envelope
-// shared by every v1 job resource (runs, litmus, optimize).
+// shared by every v1 job resource (runs, litmus, optimize).  It is the
+// server's form of client.RunStatus, with typed results.
 type RunStatus struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
 	State  string `json:"state"`
 	Tenant string `json:"tenant,omitempty"`
 	// FinishedAt is set once the run leaves the running state.
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
-	Spec       RunSpec    `json:"spec"`
-	Total      int        `json:"total"`
-	Completed  int        `json:"completed"`
-	Running    []string   `json:"running,omitempty"`
+	FinishedAt *time.Time     `json:"finished_at,omitempty"`
+	Spec       client.RunSpec `json:"spec"`
+	Total      int            `json:"total"`
+	Completed  int            `json:"completed"`
+	Running    []string       `json:"running,omitempty"`
 	// Resumed marks a run restarted from a runstore checkpoint after a
 	// server restart.
 	Resumed bool `json:"resumed,omitempty"`
@@ -84,17 +56,6 @@ type RunStatus struct {
 	StartedAt    time.Time `json:"started_at"`
 	WallMs       int64     `json:"wall_ms"`
 	Results      []*Result `json:"results,omitempty"`
-}
-
-// event is one progress record streamed by GET /runs/{id}?stream=1.
-type event struct {
-	Event      string `json:"event"` // "started" | "done" | "end"
-	Experiment string `json:"experiment,omitempty"`
-	Error      string `json:"error,omitempty"`
-	WallMs     int64  `json:"wall_ms,omitempty"`
-	State      string `json:"state,omitempty"` // on "end"
-	Completed  int    `json:"completed,omitempty"`
-	Total      int    `json:"total,omitempty"`
 }
 
 // serverMetrics are the HTTP layer's instruments.
@@ -312,7 +273,7 @@ func (s *Server) storeFailed(op string, err error) {
 
 // specOrder is the request order of a spec's experiments: the names it
 // listed, or the full catalogue in paper order.
-func specOrder(spec RunSpec) []string {
+func specOrder(spec client.RunSpec) []string {
 	if len(spec.Experiments) > 0 {
 		return spec.Experiments
 	}
@@ -598,24 +559,17 @@ func pageParams(w http.ResponseWriter, r *http.Request) (limit int, after string
 	return limit, r.URL.Query().Get("after"), true
 }
 
-// page is the v1 list envelope: one page of items plus the cursor for
-// the next page ("" when this page is the last).
-type page[T any] struct {
-	Items     []T    `json:"items"`
+// page is the v1 list envelope of job statuses: one page of items plus
+// the cursor for the next page ("" when this page is the last).
+type page struct {
+	Items     []any  `json:"items"`
 	NextAfter string `json:"next_after,omitempty"`
 }
 
-// ExperimentInfo is one catalogue entry served by GET /api/v1/experiments.
-type ExperimentInfo struct {
-	Name  string `json:"name"`
-	Paper string `json:"paper"`
-	Desc  string `json:"desc"`
-}
-
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request, legacy bool) {
-	all := make([]ExperimentInfo, 0, len(experiments.All()))
+	all := make([]client.ExperimentInfo, 0, len(experiments.All()))
 	for _, e := range experiments.All() {
-		all = append(all, ExperimentInfo{Name: e.Name, Paper: e.Paper, Desc: e.Desc})
+		all = append(all, client.ExperimentInfo{Name: e.Name, Paper: e.Paper, Desc: e.Desc})
 	}
 	if legacy {
 		writeJSON(w, http.StatusOK, all)
@@ -634,7 +588,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request, legac
 			}
 		}
 	}
-	out := page[ExperimentInfo]{Items: []ExperimentInfo{}}
+	out := client.ExperimentsPage{Items: []client.ExperimentInfo{}}
 	end := start + limit
 	if end > len(all) {
 		end = len(all)
@@ -716,7 +670,7 @@ func (s *Server) writeSaturated(w http.ResponseWriter, format string, args ...an
 // runJob is the run kind's half of a job: a sweep of experiments, one
 // cell each.
 type runJob struct {
-	spec    RunSpec
+	spec    client.RunSpec
 	running map[string]bool
 	results []*Result // completed experiments, in completion order
 }
@@ -724,7 +678,7 @@ type runJob struct {
 // parseRun is the run kind's submission: a RunSpec, validated and
 // normalised (?nocache=1, the default parallelism, the effective tenant).
 func (s *Server) parseRun(r *http.Request) (jobBody, jobHeader, error) {
-	var spec RunSpec
+	var spec client.RunSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		return nil, jobHeader{}, fmt.Errorf("bad run spec: %v", err)
 	}
@@ -737,7 +691,7 @@ func (s *Server) parseRun(r *http.Request) (jobBody, jobHeader, error) {
 		}
 	}
 	if spec.Adaptive != nil {
-		if err := spec.Adaptive.Rule().Validate(); err != nil {
+		if err := stopRule(spec.Adaptive).Validate(); err != nil {
 			return nil, jobHeader{}, fmt.Errorf("bad adaptive spec: %v", err)
 		}
 	}
@@ -758,7 +712,7 @@ func (s *Server) parseRun(r *http.Request) (jobBody, jobHeader, error) {
 }
 
 // newRunJob builds a run from its normalised spec.
-func newRunJob(spec RunSpec) (jobBody, jobHeader, error) {
+func newRunJob(spec client.RunSpec) (jobBody, jobHeader, error) {
 	return &runJob{spec: spec, running: map[string]bool{}},
 		jobHeader{tenant: spec.Tenant, total: len(specOrder(spec)), parallel: spec.Parallel, timeoutMs: spec.TimeoutMs, spec: spec}, nil
 }
@@ -779,15 +733,15 @@ func (b *runJob) drive(ctx context.Context, j *serverJob) ([]*Result, error) {
 	return j.dispatch(ctx, cells)
 }
 
-func (b *runJob) started(name string) *event {
+func (b *runJob) started(name string) *client.Event {
 	b.running[name] = true
-	return &event{Event: "started", Experiment: name}
+	return &client.Event{Event: "started", Experiment: name}
 }
 
-func (b *runJob) done(res *Result) *event {
+func (b *runJob) done(res *Result) *client.Event {
 	delete(b.running, res.Experiment)
 	b.results = append(b.results, res)
-	return &event{Event: "done", Experiment: res.Experiment, Error: res.Err,
+	return &client.Event{Event: "done", Experiment: res.Experiment, Error: res.Err,
 		WallMs: res.WallNs / int64(time.Millisecond)}
 }
 
@@ -838,54 +792,27 @@ func (s *Server) checkpoint(id string, res *Result) {
 
 // --- Worker lease protocol (sharded execution backend) -------------------
 //
-// Remote wmmworker processes pull cells through three endpoints:
+// Remote wmmworker processes pull cells through three endpoints, whose
+// bodies are wmm/client's types:
 //
-//	POST /api/v1/leases                  {"worker": "w1", "max_jobs": 4}
-//	  -> {"lease_id": "lease-3", "ttl_ms": 15000, "jobs": [wireCell...]}
+//	POST /api/v1/leases                  client.LeaseRequest
+//	  -> client.LeaseGrant {"lease_id", "ttl_ms", "jobs": [client.Job...]}
 //	     (lease_id empty and jobs [] when the queue has no work)
 //	POST /api/v1/leases/{id}/heartbeat   -> {"ttl_ms": 15000}; 410 if gone
-//	POST /api/v1/leases/{id}/results     {"results": [{run_id, experiment,
-//	  result}]} -> {"accepted": N, "requeued": M}; 410 if the lease
-//	  expired (its jobs were re-queued; the worker drops the batch)
+//	POST /api/v1/leases/{id}/results     client.ResultsUpload
+//	  -> client.UploadAck; 410 if the lease expired (its jobs were
+//	  re-queued; the worker drops the batch)
 //
-// Every kind's cell travels in the same wire cell: the job it belongs to,
-// its name, and its kind's self-contained descriptor — an experiment's
-// (samples, seed, short, adaptive), a litmus shard's generator range, an
-// optimizer cell's spec — from which Engine.RunCell reproduces the exact
-// bytes a local execution would have produced.
-
-// wireCell is one leased cell on the wire.
-type wireCell struct {
-	RunID      string          `json:"run_id"`
-	Experiment string          `json:"experiment"` // the cell's name
-	Kind       string          `json:"kind"`
-	Cell       json.RawMessage `json:"cell"`
-}
-
-// leaseRequest is the body of POST /api/v1/leases.
-type leaseRequest struct {
-	Worker  string `json:"worker"`
-	MaxJobs int    `json:"max_jobs,omitempty"`
-}
-
-// leaseGrant is the response: a batch of jobs under a TTL'd lease.
-type leaseGrant struct {
-	LeaseID string     `json:"lease_id,omitempty"`
-	TTLMs   int64      `json:"ttl_ms,omitempty"`
-	Jobs    []wireCell `json:"jobs"`
-}
-
-// wireJobResult is one uploaded result; Result is the engine's Result
-// as raw JSON, decoded server-side so the stored/served bytes are
-// exactly what a local execution would have produced.
-type wireJobResult struct {
-	RunID      string          `json:"run_id"`
-	Experiment string          `json:"experiment"`
-	Result     json.RawMessage `json:"result"`
-}
+// Every kind's cell travels in the same client.Job: the job it belongs
+// to, its name, and its kind's self-contained descriptor — an
+// experiment's (samples, seed, short, adaptive), a litmus shard's
+// generator range, an optimizer cell's spec — from which Engine.RunCell
+// reproduces the exact bytes a local execution would have produced.  An
+// uploaded client.JobResult carries that Result as raw JSON, which is
+// decoded here into the engine's own type.
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
+	var req client.LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad lease request: %v", err)
 		return
@@ -895,9 +822,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, ttl, jobs := s.disp.Lease(req.Worker, req.MaxJobs)
-	grant := leaseGrant{LeaseID: id, TTLMs: ttl.Milliseconds(), Jobs: []wireCell{}}
+	grant := client.LeaseGrant{LeaseID: id, TTLMs: ttl.Milliseconds(), Jobs: []client.Job{}}
 	for _, j := range jobs {
-		grant.Jobs = append(grant.Jobs, wireCell{RunID: j.runID, Experiment: j.cell.Name, Kind: j.cell.Kind, Cell: j.cell.Desc})
+		grant.Jobs = append(grant.Jobs, client.Job{RunID: j.runID, Experiment: j.cell.Name, Kind: j.cell.Kind, Cell: j.cell.Desc})
 	}
 	writeJSON(w, http.StatusOK, grant)
 }
@@ -914,9 +841,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req struct {
-		Results []wireJobResult `json:"results"`
-	}
+	var req client.ResultsUpload
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad results upload: %v", err)
 		return
@@ -936,5 +861,5 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, ErrCodeLeaseGone, "lease %q expired or unknown; its jobs were re-queued", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "requeued": requeued})
+	writeJSON(w, http.StatusOK, client.UploadAck{Accepted: accepted, Requeued: requeued})
 }

@@ -116,10 +116,6 @@ type Spec struct {
 	// before or after a writer reaches different outcomes — so no
 	// thread is pinned.  Empty = DefaultStagger(Threads).
 	Stagger []int64
-	// MemWords sizes memory (default 4096).
-	MemWords int
-	// MaxCyclesPerRun bounds one run (default 1_000_000).
-	MaxCyclesPerRun int64
 	// MaxRuns bounds the exploration (default 400_000); exceeding it
 	// yields Complete == false.
 	MaxRuns int
@@ -338,6 +334,13 @@ func (c *controller) IntChoice(ch sim.Choice) int64 {
 	return c.choose(domain, &ch)
 }
 
+// memWords sizes every harness machine's memory, and maxCyclesPerRun
+// bounds one explored run; a run still going past it is an error.
+const (
+	memWords        = 4096
+	maxCyclesPerRun = 1_000_000
+)
+
 // Harness runs a Spec's threads on one machine.  It is the one place a
 // litmus program meets the simulator: exploring starts every run with a
 // controlling ChoiceSource, and sampling (internal/litmus) with the
@@ -358,16 +361,10 @@ func NewHarness(sp Spec) (*Harness, error) {
 	if sp.Build == nil {
 		return nil, fmt.Errorf("explore: Spec.Build is required")
 	}
-	if sp.MemWords <= 0 {
-		sp.MemWords = 4096
-	}
-	if sp.MaxCyclesPerRun <= 0 {
-		sp.MaxCyclesPerRun = 1_000_000
-	}
 	if len(sp.Stagger) == 0 {
 		sp.Stagger = DefaultStagger(sp.Threads)
 	}
-	m, err := sim.New(sp.Prof, sim.Config{Cores: sp.Threads, MemWords: sp.MemWords, Seed: 1})
+	m, err := sim.New(sp.Prof, sim.Config{Cores: sp.Threads, MemWords: memWords, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -559,12 +556,12 @@ func (x *explorer) execute(prefix []int, replay *struct{}) (*controller, error) 
 	if err := x.Start(1, ctl, staggers); err != nil {
 		return nil, err
 	}
-	res, err := x.m.Run(sp.MaxCyclesPerRun)
+	res, err := x.m.Run(maxCyclesPerRun)
 	if err != nil {
 		return nil, err
 	}
 	if !res.AllHalted {
-		return nil, fmt.Errorf("did not halt within %d cycles", sp.MaxCyclesPerRun)
+		return nil, fmt.Errorf("did not halt within %d cycles", maxCyclesPerRun)
 	}
 	return ctl, nil
 }

@@ -170,7 +170,6 @@ func (r *Runner) spec(t *Test) (explore.Spec, int64) {
 		Interesting: sharedLines,
 		Watch:       WatchedAddrs(t),
 		Stagger:     staggerDomain(len(t.Threads), maxDelay),
-		MemWords:    4096,
 	}, maxDelay
 }
 

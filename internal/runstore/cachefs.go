@@ -59,8 +59,8 @@ func (c cacheFS) CacheGet(key string) ([]byte, bool) {
 	return data, true
 }
 
-// CachePut durably writes a cache entry (write-to-temp + fsync +
-// rename).  It satisfies resultcache.Persist.
+// CachePut durably writes a cache entry (see commitFile).  It satisfies
+// resultcache.Persist.
 func (c cacheFS) CachePut(key string, data []byte) error {
 	path, err := c.cachePath(key)
 	if err != nil {
@@ -69,30 +69,7 @@ func (c cacheFS) CachePut(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runstore: create cache dir: %w", err)
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".cache-*")
-	if err != nil {
-		return fmt.Errorf("runstore: cache temp: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: cache write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: cache sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: cache close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: cache rename: %w", err)
-	}
-	return nil
+	return commitFile(path, data)
 }
 
 // CacheSweep removes cache entries not modified since the cutoff,

@@ -4,7 +4,10 @@
 // paginated catalogues, generated litmus campaigns, fence-strategy
 // optimizer jobs) plus the worker
 // lease protocol the sharded execution backend speaks (cmd/wmmworker
-// is built on it).
+// is built on it).  Its types declare the v1 wire: wmmd encodes and
+// decodes the same types, and declares only RunStatus, LitmusStatus,
+// OptimizeStatus and OptimizeSpec again, with typed engine values where
+// this package keeps raw JSON.
 //
 // Every method takes a context and propagates it through the request.
 // Non-2xx responses decode the uniform error envelope {"error":
@@ -498,8 +501,7 @@ func (c *Client) CancelOptimize(ctx context.Context, id string) (CancelResponse,
 // no work was queued.
 func (c *Client) Lease(ctx context.Context, worker string, maxJobs int) (LeaseGrant, error) {
 	var out LeaseGrant
-	err := c.do(ctx, http.MethodPost, "/api/v1/leases",
-		map[string]any{"worker": worker, "max_jobs": maxJobs}, &out)
+	err := c.do(ctx, http.MethodPost, "/api/v1/leases", LeaseRequest{MaxJobs: maxJobs, Worker: worker}, &out)
 	return out, err
 }
 
@@ -521,6 +523,6 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) (time.Duration, 
 func (c *Client) UploadResults(ctx context.Context, leaseID string, results []JobResult) (UploadAck, error) {
 	var out UploadAck
 	err := c.do(ctx, http.MethodPost, "/api/v1/leases/"+url.PathEscape(leaseID)+"/results",
-		map[string]any{"results": results}, &out)
+		ResultsUpload{Results: results}, &out)
 	return out, err
 }

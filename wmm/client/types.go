@@ -30,12 +30,13 @@ type RunSpec struct {
 	NoCache bool `json:"nocache,omitempty"`
 	// Tenant names the fair-share queue and quota bucket the run is
 	// accounted to.  The X-WMM-Tenant header (see WithTenant) takes
-	// precedence; empty = "default".
+	// precedence; empty = "default".  Tenancy never affects result
+	// bytes: the result cache deduplicates identical jobs across tenants.
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// AdaptiveSpec is the sequential stopping rule carried by RunSpec,
-// mirroring the server's.
+// AdaptiveSpec is the sequential stopping rule carried by RunSpec: the
+// wire form of the server's stats.StopRule.
 type AdaptiveSpec struct {
 	// RelPrecision stops sampling once (CI half-width)/|mean| is at or
 	// below it; must be in (0, 1].
@@ -47,7 +48,7 @@ type AdaptiveSpec struct {
 	MaxSamples int `json:"max_samples,omitempty"`
 }
 
-// Submitted acknowledges an accepted run.
+// Submitted acknowledges an accepted run, campaign or optimizer job.
 type Submitted struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -75,7 +76,7 @@ type Result struct {
 	Cache string `json:"cache,omitempty"`
 }
 
-// Run states, mirroring the server's.
+// Job states: the values of every status's State field.
 const (
 	StateRunning   = "running"
 	StateDone      = "done"
@@ -145,7 +146,9 @@ type RunsPage struct {
 	NextAfter string      `json:"next_after,omitempty"`
 }
 
-// CancelResponse acknowledges DELETE /api/v1/runs/{id}.
+// CancelResponse acknowledges DELETE /api/v1/{runs,litmus,optimize}/{id}:
+// State is "cancelling" for a running job, else the finished job's
+// state with Deleted set.
 type CancelResponse struct {
 	ID      string `json:"id"`
 	State   string `json:"state"`
@@ -310,6 +313,14 @@ type LitmusPage struct {
 	NextAfter string         `json:"next_after,omitempty"`
 }
 
+// LeaseRequest is the body of POST /api/v1/leases: the worker's name
+// (for assignment records and logs) and the most cells it takes (0 or
+// more than the coordinator's batch cap = the cap).
+type LeaseRequest struct {
+	MaxJobs int    `json:"max_jobs"`
+	Worker  string `json:"worker"`
+}
+
 // LeaseGrant is a batch of jobs under a TTL'd lease.  An empty LeaseID
 // means the queue had no work; poll again after an idle interval.
 type LeaseGrant struct {
@@ -327,6 +338,11 @@ type JobResult struct {
 	RunID      string          `json:"run_id"`
 	Experiment string          `json:"experiment"`
 	Result     json.RawMessage `json:"result"`
+}
+
+// ResultsUpload is the body of POST /api/v1/leases/{id}/results.
+type ResultsUpload struct {
+	Results []JobResult `json:"results"`
 }
 
 // UploadAck reports how a lease settled: jobs accepted with results,

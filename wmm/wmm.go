@@ -233,7 +233,7 @@ type ScanResult = core.ScanResult
 
 // SensitivityScan sweeps cost-function sizes over code paths and fits the
 // sensitivity model.
-func SensitivityScan(cfg ScanConfig) (ScanResult, error) { return core.SensitivityScan(cfg) }
+func SensitivityScan(cfg ScanConfig) (ScanResult, error) { return core.Session{}.SensitivityScan(cfg) }
 
 // ProbeResult is a fixed-size probe measurement.
 type ProbeResult = core.ProbeResult
@@ -241,12 +241,12 @@ type ProbeResult = core.ProbeResult
 // Survey probes every (benchmark, code path) pair with a fixed cost
 // (Figures 7-8).
 func Survey(benches []*Benchmark, env Env, paths []PathID, size int64, samples int, seed int64) ([]ProbeResult, error) {
-	return core.Survey(benches, env, paths, size, samples, seed)
+	return core.Session{}.Survey(benches, env, paths, size, samples, seed)
 }
 
 // CompareStrategies measures a fencing-strategy change on one benchmark.
 func CompareStrategies(b *Benchmark, base, test Env, allPaths []PathID, samples int, seed int64) (Comparative, error) {
-	return core.CompareStrategies(b, base, test, allPaths, samples, seed)
+	return core.Session{}.CompareStrategies(b, base, test, allPaths, samples, seed)
 }
 
 // PathID identifies an instrumentable platform code path.
