@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
 )
 
 // TestJVMRankingARMv8 pins the paper's headline result through the whole
@@ -327,6 +329,72 @@ func TestMixNames(t *testing.T) {
 		}
 		if !seen["compute"] {
 			t.Errorf("%s: missing common mix name \"compute\"", plat)
+		}
+	}
+}
+
+// gateProgramsGolden pins, per platform and arch, a digest of every
+// thread program of every default candidate's gate tests, at stagger 0
+// and at stagger 5, so a change to how a gate shape is built shows up as
+// the platform whose instructions moved.  Values are the first 16 hex
+// digits of the sha256.
+var gateProgramsGolden = map[string]string{
+	"jvm/armv8":     "42320be5869857df",
+	"jvm/power7":    "0484ad2bfeb89ea4",
+	"kernel/armv8":  "e5e59a2b4227d45e",
+	"kernel/power7": "2785059f75b3fc45",
+	"c11/armv8":     "ef1bd3cb2780c2f3",
+	"c11/power7":    "ea56a640fc652728",
+}
+
+// TestGateProgramDigests checks gateProgramsGolden.  Each thread is
+// assembled as litmus.Runner assembles it: setup, the alignment delay
+// loop (skipped at stagger 0), body, halt.
+func TestGateProgramDigests(t *testing.T) {
+	for key, want := range gateProgramsGolden {
+		platform, archName, _ := strings.Cut(key, "/")
+		sp := Spec{Platform: platform, Arch: archName}.WithDefaults()
+		prof, err := sp.Profile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, err := sp.Candidates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		b := arch.NewBuilder()
+		for _, c := range cands {
+			for _, shape := range sp.Gate.Shapes {
+				gs, _ := platforms[platform].gate(shape)
+				for th, thread := range gs.build(c.env(prof)).Threads {
+					for _, stagger := range []int64{0, 5} {
+						b.Reset()
+						if thread.Setup != nil {
+							thread.Setup(b)
+						}
+						if stagger > 0 {
+							b.MovImm(27, stagger)
+							b.Label("litmus_delay")
+							b.SubsImm(27, 27, 1)
+							b.Bne("litmus_delay")
+						}
+						thread.Body(b)
+						b.Halt()
+						p, err := b.Build()
+						if err != nil {
+							t.Fatalf("%s %s/%s thread %d stagger %d: %v", key, c.Name, shape, th, stagger, err)
+						}
+						for _, in := range p.Code {
+							fmt.Fprintf(h, "%d %d %d %d %d %d %d %d\n", in.Op, in.Rd, in.Rn, in.Rm, in.Imm, in.Target, in.Kind, in.Site)
+						}
+						h.Write([]byte{'\n'})
+					}
+				}
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != want {
+			t.Errorf("%q: %q, want %q", key, got, want)
 		}
 	}
 }
