@@ -13,9 +13,9 @@ import "repro/internal/arch"
 // deviations (LB relaxation and spin-loop MP on the MCA profile are not
 // exhibited, like most real implementations).
 
-// PrimeLines returns a Thread.Setup that loads each address once, so the
+// primeLines returns a Thread.Setup that loads each address once, so the
 // test's races start on warmed lines.
-func PrimeLines(addrs ...int64) func(*arch.Builder) {
+func primeLines(addrs ...int64) func(*arch.Builder) {
 	return func(b *arch.Builder) {
 		for _, a := range addrs {
 			b.Load(26, Base, a)
@@ -23,101 +23,109 @@ func PrimeLines(addrs ...int64) func(*arch.Builder) {
 	}
 }
 
-// mpWriter emits: X=1; <fence>; Y=1.
-func mpWriter(fence arch.BarrierKind) Thread {
-	return Thread{Body: func(b *arch.Builder) {
-		b.MovImm(2, 1)
-		b.Store(2, Base, X)
-		b.Fence(fence)
-		b.Store(2, Base, Y)
-	}}
+// An Access emits one memory access with whatever orders it: a store of
+// register r to base+off, or a load of base+off into r.  A platform code
+// generator's access method is one as a method value (j.VolatileStore).
+type Access func(b *arch.Builder, r, base arch.Reg, off int64)
+
+// PlainStore and PlainLoad emit ordinary accesses.
+func PlainStore(b *arch.Builder, r, base arch.Reg, off int64) { b.Store(r, base, off) }
+
+func PlainLoad(b *arch.Builder, r, base arch.Reg, off int64) { b.Load(r, base, off) }
+
+// AddrDepLoad is MP's data load through the "pointer" the flag load left
+// in register 2: r4 = r2 ^ r2 = 0 and r5 = base + r4 make a true address
+// dependency that does not change the address.
+func AddrDepLoad(b *arch.Builder, r, base arch.Reg, off int64) {
+	b.Eor(4, 2, 2)
+	b.Add(5, base, 4)
+	b.Load(r, 5, off)
 }
 
-// mpWriterRel emits: X=1; stlr Y=1.
-func mpWriterRel() Thread {
-	return Thread{Body: func(b *arch.Builder) {
-		b.MovImm(2, 1)
-		b.Store(2, Base, X)
-		b.StoreRel(2, Base, Y)
-	}}
+func storeRelease(b *arch.Builder, r, base arch.Reg, off int64) { b.StoreRel(r, base, off) }
+
+func loadAcquire(b *arch.Builder, r, base arch.Reg, off int64) { b.LoadAcq(r, base, off) }
+
+// fenced emits barrier f, a nop for BarrierNone (po), before a.
+func fenced(f arch.BarrierKind, a Access) Access {
+	return func(b *arch.Builder, r, base arch.Reg, off int64) {
+		b.Fence(f)
+		a(b, r, base, off)
+	}
 }
 
-// Reader ordering mechanisms for the MP family.
-type readerKind uint8
+// ctrl emits a behind a control dependency on register 2: a conditional
+// branch on the loaded value over an impotent target (both paths reach
+// a), per ARMv8 manual B2.7.4.
+func ctrl(a Access) Access {
+	return func(b *arch.Builder, r, base arch.Reg, off int64) {
+		b.CmpImm(2, 42)
+		b.Bne("ctl")
+		b.Label("ctl")
+		a(b, r, base, off)
+	}
+}
 
-const (
-	rdPlain readerKind = iota
-	rdFence
-	rdAddrDep
-	rdCtrl
-	rdCtrlISB
-	rdAcquire
-)
-
-// mpReader emits: r2 = Y; <order>; r3 = X; record r2, r3.  The X line is
-// primed so the data load can satisfy quickly relative to a missing flag.
-func mpReader(kind readerKind, fence arch.BarrierKind) Thread {
-	return Thread{
-		Setup: PrimeLines(X),
-		Body: func(b *arch.Builder) {
-			if kind == rdAcquire {
-				b.LoadAcq(2, Base, Y)
-			} else {
-				b.Load(2, Base, Y)
-			}
-			switch kind {
-			case rdFence:
-				b.Fence(fence)
-			case rdAddrDep:
-				// r4 = r2 ^ r2 = 0; r5 = base + r4: a true address
-				// dependency that does not change the address.
-				b.Eor(4, 2, 2)
-				b.Add(5, Base, 4)
-				b.Load(3, 5, X)
-				b.Store(2, Base, ResultAddr(1, 0))
-				b.Store(3, Base, ResultAddr(1, 1))
-				return
-			case rdCtrl, rdCtrlISB:
-				// Control dependency: a conditional branch on the
-				// loaded value over an impotent target (both paths
-				// reach the load), per ARMv8 manual B2.7.4.
-				b.CmpImm(2, 42)
-				b.Bne("ctl")
-				b.Label("ctl")
-				if kind == rdCtrlISB {
-					b.Fence(arch.ISB)
-				}
-			}
-			b.Load(3, Base, X)
-			b.Store(2, Base, ResultAddr(1, 0))
-			b.Store(3, Base, ResultAddr(1, 1))
+// SB is the store-buffering (Dekker) shape: each thread stores 1 to its
+// own location with store, then loads the other's into register 3 with
+// load.  Relaxed: both loads read 0.
+func SB(name string, store, load Access) *Test {
+	th := func(t int, mine, other int64) Thread {
+		return Thread{
+			Setup: primeLines(X, Y),
+			Body: func(b *arch.Builder) {
+				b.MovImm(2, 1)
+				store(b, 2, Base, mine)
+				load(b, 3, Base, other)
+				b.Store(3, Base, ResultAddr(t, 0))
+			},
+		}
+	}
+	return &Test{
+		Name:    name,
+		Threads: []Thread{th(0, X, Y), th(1, Y, X)},
+		Relaxed: func(mem func(int64) int64) bool {
+			return mem(ResultAddr(0, 0)) == 0 && mem(ResultAddr(1, 0)) == 0
 		},
 	}
 }
 
-// MPRelaxed is the message-passing violation: the reader (thread 1) saw
-// the flag but not the data it guards.
-func MPRelaxed(mem func(int64) int64) bool {
-	return mem(ResultAddr(1, 0)) == 1 && mem(ResultAddr(1, 1)) == 0
-}
-
-// MPHit is the message-passing precondition: the reader saw the flag.
-func MPHit(mem func(int64) int64) bool { return mem(ResultAddr(1, 0)) == 1 }
-
-// SBRelaxed is the store-buffering (Dekker) violation: both threads read
-// the other's location as 0.
-func SBRelaxed(mem func(int64) int64) bool {
-	return mem(ResultAddr(0, 0)) == 0 && mem(ResultAddr(1, 0)) == 0
-}
-
-func mpTest(name string, w, r Thread, expect map[string]Expectation) *Test {
+// MP is the message-passing shape: the writer stores 1 to the data X
+// with dataStore, then to the flag Y with flagStore; the reader, its X
+// line primed so the data load can satisfy quickly relative to a missing
+// flag, loads the flag into register 2 with flagLoad, then the data into
+// register 3 with dataLoad.  Relaxed: the reader saw the flag but not the
+// data it guards.
+func MP(name string, dataStore, flagStore, flagLoad, dataLoad Access) *Test {
 	return &Test{
-		Name:    name,
-		Threads: []Thread{w, r},
-		Relaxed: MPRelaxed,
-		Hit:     MPHit,
-		Expect:  expect,
+		Name: name,
+		Threads: []Thread{
+			{Body: func(b *arch.Builder) {
+				b.MovImm(2, 1)
+				dataStore(b, 2, Base, X)
+				flagStore(b, 2, Base, Y)
+			}},
+			{
+				Setup: primeLines(X),
+				Body: func(b *arch.Builder) {
+					flagLoad(b, 2, Base, Y)
+					dataLoad(b, 3, Base, X)
+					b.Store(2, Base, ResultAddr(1, 0))
+					b.Store(3, Base, ResultAddr(1, 1))
+				},
+			},
+		},
+		Relaxed: func(mem func(int64) int64) bool {
+			return mem(ResultAddr(1, 0)) == 1 && mem(ResultAddr(1, 1)) == 0
+		},
+		Hit: func(mem func(int64) int64) bool { return mem(ResultAddr(1, 0)) == 1 },
 	}
+}
+
+// expecting sets t's expectations.
+func expecting(t *Test, e map[string]Expectation) *Test {
+	t.Expect = e
+	return t
 }
 
 func both(e Expectation) map[string]Expectation {
@@ -132,49 +140,11 @@ func powerOnly(e Expectation) map[string]Expectation {
 	return map[string]Expectation{"power7": e}
 }
 
-// sbThread emits: mine=1; <fence>; r2 = other; record r2.
-func sbThread(t int, mine, other int64, fence arch.BarrierKind) Thread {
-	return Thread{
-		Setup: PrimeLines(mine, other),
-		Body: func(b *arch.Builder) {
-			b.MovImm(2, 1)
-			b.Store(2, Base, mine)
-			b.Fence(fence)
-			b.Load(3, Base, other)
-			b.Store(3, Base, ResultAddr(t, 0))
-		},
-	}
-}
-
-// sbThreadRelAcq emits: stlr mine=1; r2 = ldar other; record r2 — the
-// JDK9 / C11-SC volatile mapping, whose RCsc stlr→ldar ordering forbids
-// the SB relaxation on ARMv8.
-func sbThreadRelAcq(t int, mine, other int64) Thread {
-	return Thread{
-		Setup: PrimeLines(mine, other),
-		Body: func(b *arch.Builder) {
-			b.MovImm(2, 1)
-			b.StoreRel(2, Base, mine)
-			b.LoadAcq(3, Base, other)
-			b.Store(3, Base, ResultAddr(t, 0))
-		},
-	}
-}
-
-func sbTest(name string, fence0, fence1 arch.BarrierKind, expect map[string]Expectation) *Test {
-	return &Test{
-		Name:    name,
-		Threads: []Thread{sbThread(0, X, Y, fence0), sbThread(1, Y, X, fence1)},
-		Relaxed: SBRelaxed,
-		Expect:  expect,
-	}
-}
-
 // wrcT2 spins until it reads X = 1, then (ordered by fence and by the data
 // dependency through r2) stores Y = r2.
 func wrcT2(fence arch.BarrierKind) Thread {
 	return Thread{
-		Setup: PrimeLines(X),
+		Setup: primeLines(X),
 		Body: func(b *arch.Builder) {
 			b.Label("wrc_spin")
 			b.Load(2, Base, X)
@@ -190,7 +160,7 @@ func wrcT2(fence arch.BarrierKind) Thread {
 // dependency on the observed value and records both observations.
 func wrcT3() Thread {
 	return Thread{
-		Setup: PrimeLines(X, Y),
+		Setup: primeLines(X, Y),
 		Body: func(b *arch.Builder) {
 			b.Label("wrc_t3_spin")
 			b.Load(3, Base, Y)
@@ -222,41 +192,31 @@ func wrcTest(name string, t2fence arch.BarrierKind, expect map[string]Expectatio
 }
 
 // iriwReader spins until it observes first = 1 (self-aligning, like a real
-// litmus campaign's retry harness), then performs the ordered read of
-// second and records both observations.
-func iriwReader(t int, first, second int64, kind readerKind, fence arch.BarrierKind) Thread {
+// litmus campaign's retry harness), then reads second into register 3
+// with read and records both observations.
+func iriwReader(t int, first, second int64, read Access) Thread {
 	return Thread{
-		Setup: PrimeLines(first, second),
+		Setup: primeLines(first, second),
 		Body: func(b *arch.Builder) {
 			b.Label("iriw_spin")
 			b.Load(2, Base, first)
 			b.CmpImm(2, 1)
 			b.Bne("iriw_spin")
-			switch kind {
-			case rdFence:
-				b.Fence(fence)
-				b.Load(3, Base, second)
-			case rdAddrDep:
-				b.Eor(5, 2, 2)
-				b.Add(6, Base, 5)
-				b.Load(3, 6, second)
-			default:
-				b.Load(3, Base, second)
-			}
+			read(b, 3, Base, second)
 			b.Store(2, Base, ResultAddr(t, 0))
 			b.Store(3, Base, ResultAddr(t, 1))
 		},
 	}
 }
 
-func iriwTest(name string, kind readerKind, fence arch.BarrierKind, expect map[string]Expectation) *Test {
+func iriwTest(name string, read Access, expect map[string]Expectation) *Test {
 	w1 := Thread{Body: func(b *arch.Builder) { b.MovImm(2, 1); b.Store(2, Base, X) }}
 	w2 := Thread{Body: func(b *arch.Builder) { b.MovImm(2, 1); b.Store(2, Base, Y) }}
 	return &Test{
 		Name: name,
 		Threads: []Thread{w1, w2,
-			iriwReader(2, X, Y, kind, fence),
-			iriwReader(3, Y, X, kind, fence)},
+			iriwReader(2, X, Y, read),
+			iriwReader(3, Y, X, read)},
 		Relaxed: func(mem func(int64) int64) bool {
 			return mem(ResultAddr(2, 0)) == 1 && mem(ResultAddr(2, 1)) == 0 &&
 				mem(ResultAddr(3, 0)) == 1 && mem(ResultAddr(3, 1)) == 0
@@ -269,47 +229,52 @@ func iriwTest(name string, kind readerKind, fence arch.BarrierKind, expect map[s
 // "power7"), each with an expectation for that profile.
 func Suite(profile string) []*Test {
 	var ts []*Test
-	add := func(t *Test) {
+	add := func(t *Test) *Test {
 		if _, ok := t.Expect[profile]; ok {
 			ts = append(ts, t)
 		}
+		return t
 	}
+	// ld is a plain load behind barrier f (a nop for po).
+	ld := func(f arch.BarrierKind) Access { return fenced(f, PlainLoad) }
 
 	// --- Message passing ------------------------------------------------
-	add(mpTest("MP", mpWriter(arch.BarrierNone), mpReader(rdPlain, 0), both(Allowed)))
-	add(mpTest("MP+ishst+po", mpWriter(arch.DMBIshSt), mpReader(rdPlain, 0), armOnly(Allowed)))
-	mpPoLd := mpTest("MP+po+ishld", mpWriter(arch.BarrierNone), mpReader(rdFence, arch.DMBIshLd), armOnly(Allowed))
-	mpPoLd.Trials = 1200
-	add(mpPoLd)
-	add(mpTest("MP+ishst+ishld", mpWriter(arch.DMBIshSt), mpReader(rdFence, arch.DMBIshLd), armOnly(Forbidden)))
-	add(mpTest("MP+ish+ish", mpWriter(arch.DMBIsh), mpReader(rdFence, arch.DMBIsh), armOnly(Forbidden)))
-	add(mpTest("MP+ishst+addr", mpWriter(arch.DMBIshSt), mpReader(rdAddrDep, 0), armOnly(Forbidden)))
-	add(mpTest("MP+ishst+ctl", mpWriter(arch.DMBIshSt), mpReader(rdCtrl, 0), armOnly(Allowed)))
-	add(mpTest("MP+ishst+ctlisb", mpWriter(arch.DMBIshSt), mpReader(rdCtrlISB, 0), armOnly(Forbidden)))
-	add(mpTest("MP+rel+acq", mpWriterRel(), mpReader(rdAcquire, 0), armOnly(Forbidden)))
+	// The writer fences its flag store (a nop for po); dataLoad carries
+	// the reader's ordering.
+	mp := func(name string, f arch.BarrierKind, dataLoad Access, expect map[string]Expectation) *Test {
+		return add(expecting(MP(name, PlainStore, fenced(f, PlainStore), PlainLoad, dataLoad), expect))
+	}
+	mp("MP", arch.BarrierNone, PlainLoad, both(Allowed))
+	mp("MP+ishst+po", arch.DMBIshSt, PlainLoad, armOnly(Allowed))
+	mp("MP+po+ishld", arch.BarrierNone, ld(arch.DMBIshLd), armOnly(Allowed)).Trials = 1200
+	mp("MP+ishst+ishld", arch.DMBIshSt, ld(arch.DMBIshLd), armOnly(Forbidden))
+	mp("MP+ish+ish", arch.DMBIsh, ld(arch.DMBIsh), armOnly(Forbidden))
+	mp("MP+ishst+addr", arch.DMBIshSt, AddrDepLoad, armOnly(Forbidden))
+	mp("MP+ishst+ctl", arch.DMBIshSt, ctrl(PlainLoad), armOnly(Allowed))
+	mp("MP+ishst+ctlisb", arch.DMBIshSt, ctrl(ld(arch.ISB)), armOnly(Forbidden))
+	add(expecting(MP("MP+rel+acq", PlainStore, storeRelease, loadAcquire, PlainLoad), armOnly(Forbidden)))
 
-	add(mpTest("MP+lwsync+po", mpWriter(arch.LwSync), mpReader(rdPlain, 0), powerOnly(Allowed)))
-	mpPoLw := mpTest("MP+po+lwsync", mpWriter(arch.BarrierNone), mpReader(rdFence, arch.LwSync), powerOnly(Allowed))
+	mp("MP+lwsync+po", arch.LwSync, PlainLoad, powerOnly(Allowed))
+	mpPoLw := mp("MP+po+lwsync", arch.BarrierNone, ld(arch.LwSync), powerOnly(Allowed))
 	mpPoLw.Trials, mpPoLw.MaxDelay = 1600, 60
-	add(mpPoLw)
-	add(mpTest("MP+lwsync+lwsync", mpWriter(arch.LwSync), mpReader(rdFence, arch.LwSync), powerOnly(Forbidden)))
-	add(mpTest("MP+sync+sync", mpWriter(arch.HwSync), mpReader(rdFence, arch.HwSync), powerOnly(Forbidden)))
-	add(mpTest("MP+lwsync+addr", mpWriter(arch.LwSync), mpReader(rdAddrDep, 0), powerOnly(Forbidden)))
-	add(mpTest("MP+lwsync+ctl", mpWriter(arch.LwSync), mpReader(rdCtrl, 0), powerOnly(Allowed)))
-	add(mpTest("MP+lwsync+ctlisync", mpWriter(arch.LwSync), mpReader(rdCtrlISB, 0), powerOnly(Forbidden)))
+	mp("MP+lwsync+lwsync", arch.LwSync, ld(arch.LwSync), powerOnly(Forbidden))
+	mp("MP+sync+sync", arch.HwSync, ld(arch.HwSync), powerOnly(Forbidden))
+	mp("MP+lwsync+addr", arch.LwSync, AddrDepLoad, powerOnly(Forbidden))
+	mp("MP+lwsync+ctl", arch.LwSync, ctrl(PlainLoad), powerOnly(Allowed))
+	mp("MP+lwsync+ctlisync", arch.LwSync, ctrl(ld(arch.ISB)), powerOnly(Forbidden))
 
 	// --- Store buffering -------------------------------------------------
-	add(sbTest("SB", arch.BarrierNone, arch.BarrierNone, both(Allowed)))
-	add(sbTest("SB+ish+ish", arch.DMBIsh, arch.DMBIsh, armOnly(Forbidden)))
-	add(&Test{
-		Name:    "SB+rel+acq",
-		Threads: []Thread{sbThreadRelAcq(0, X, Y), sbThreadRelAcq(1, Y, X)},
-		Relaxed: SBRelaxed,
-		Expect:  armOnly(Forbidden),
-	})
-	add(sbTest("SB+sync+sync", arch.HwSync, arch.HwSync, powerOnly(Forbidden)))
+	sb := func(name string, f arch.BarrierKind, expect map[string]Expectation) {
+		add(expecting(SB(name, PlainStore, ld(f)), expect))
+	}
+	sb("SB", arch.BarrierNone, both(Allowed))
+	sb("SB+ish+ish", arch.DMBIsh, armOnly(Forbidden))
+	// The JDK9 / C11-SC volatile mapping, whose RCsc stlr→ldar ordering
+	// forbids the SB relaxation on ARMv8.
+	add(expecting(SB("SB+rel+acq", storeRelease, loadAcquire), armOnly(Forbidden)))
+	sb("SB+sync+sync", arch.HwSync, powerOnly(Forbidden))
 	// lwsync does not order store→load: SB stays observable.
-	add(sbTest("SB+lwsync+lwsync", arch.LwSync, arch.LwSync, powerOnly(Allowed)))
+	sb("SB+lwsync+lwsync", arch.LwSync, powerOnly(Allowed))
 
 	// --- Per-location coherence ------------------------------------------
 	add(&Test{
@@ -317,7 +282,7 @@ func Suite(profile string) []*Test {
 		Threads: []Thread{
 			{Body: func(b *arch.Builder) { b.MovImm(2, 1); b.Store(2, Base, X) }},
 			{
-				Setup: PrimeLines(X),
+				Setup: primeLines(X),
 				Body: func(b *arch.Builder) {
 					b.Load(2, Base, X)
 					b.Load(3, Base, X)
@@ -379,15 +344,22 @@ func Suite(profile string) []*Test {
 	add(wrcTest("WRC+sync+addr", arch.HwSync, powerOnly(Forbidden)))
 
 	// --- IRIW --------------------------------------------------------------
-	iriwAddr := iriwTest("IRIW+addr+addr", rdAddrDep, 0, map[string]Expectation{
+	// The readers' address dependency on register 2 builds the address in
+	// scratch registers 5 and 6.
+	addrDep := func(b *arch.Builder, r, base arch.Reg, off int64) {
+		b.Eor(5, 2, 2)
+		b.Add(6, base, 5)
+		b.Load(r, 6, off)
+	}
+	iriwAddr := iriwTest("IRIW+addr+addr", addrDep, map[string]Expectation{
 		"armv8":  Forbidden,
 		"power7": Allowed,
 	})
 	iriwAddr.Trials, iriwAddr.MaxDelay, iriwAddr.StressProp = 2400, 40, true
 	add(iriwAddr)
-	add(iriwTest("IRIW+ishld+ishld", rdFence, arch.DMBIshLd, armOnly(Forbidden)))
-	add(iriwTest("IRIW+sync+sync", rdFence, arch.HwSync, powerOnly(Forbidden)))
-	iriwLw := iriwTest("IRIW+lwsync+lwsync", rdFence, arch.LwSync, powerOnly(Allowed))
+	add(iriwTest("IRIW+ishld+ishld", ld(arch.DMBIshLd), armOnly(Forbidden)))
+	add(iriwTest("IRIW+sync+sync", ld(arch.HwSync), powerOnly(Forbidden)))
+	iriwLw := iriwTest("IRIW+lwsync+lwsync", ld(arch.LwSync), powerOnly(Allowed))
 	iriwLw.Trials, iriwLw.MaxDelay, iriwLw.StressProp = 2400, 40, true
 	add(iriwLw)
 
@@ -404,7 +376,7 @@ func Suite(profile string) []*Test {
 					b.Store(2, Base, Y)
 				}},
 				{
-					Setup: PrimeLines(X, Y),
+					Setup: primeLines(X, Y),
 					Body: func(b *arch.Builder) {
 						b.MovImm(2, 2)
 						b.Store(2, Base, Y)
@@ -441,7 +413,7 @@ func Suite(profile string) []*Test {
 					b.Store(3, Base, Y)
 				}},
 				{
-					Setup: PrimeLines(X, Y),
+					Setup: primeLines(X, Y),
 					Body: func(b *arch.Builder) {
 						b.Load(2, Base, Y)
 						b.MovImm(3, 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/litmus"
 	"repro/internal/workload"
 )
@@ -36,88 +35,12 @@ type GateOutcome struct {
 // maxWitnessBytes caps the recorded witness trace.
 const maxWitnessBytes = 64 << 10
 
-// recordResult stores r into thread t's i-th observation slot.
-func recordResult(b *arch.Builder, r arch.Reg, t, i int) {
-	b.Store(r, litmus.Base, litmus.ResultAddr(t, i))
-}
-
-// An emitter emits one access through the platform generator g: a store
-// of register r to base+off, or a load of base+off into r.
-type emitter[G any] func(g G, b *arch.Builder, r, base arch.Reg, off int64)
-
-// A gateShape is one soundness shape; build constructs its litmus test
-// through the generator the candidate's environment configures.
+// A gateShape is one soundness shape; build constructs its litmus test,
+// litmus.MP or litmus.SB over the access methods of the generator the
+// candidate's environment configures.
 type gateShape struct {
 	name  string
 	build func(workload.Env) *litmus.Test
-}
-
-// sb is the store-buffering (Dekker) template: each thread stores 1 to its
-// own location, then loads the other's.
-func sb[G any](name string, gen func(workload.Env) G, store, load emitter[G]) gateShape {
-	return gateShape{name, func(e workload.Env) *litmus.Test {
-		g := gen(e)
-		th := func(t int, mine, other int64) litmus.Thread {
-			return litmus.Thread{
-				Setup: litmus.PrimeLines(litmus.X, litmus.Y),
-				Body: func(b *arch.Builder) {
-					b.MovImm(2, 1)
-					store(g, b, 2, litmus.Base, mine)
-					load(g, b, 3, litmus.Base, other)
-					recordResult(b, 3, t, 0)
-				},
-			}
-		}
-		return &litmus.Test{
-			Name:    name,
-			Threads: []litmus.Thread{th(0, litmus.X, litmus.Y), th(1, litmus.Y, litmus.X)},
-			Relaxed: litmus.SBRelaxed,
-		}
-	}}
-}
-
-// mp is the message-passing template: the writer stores 1 to the data X,
-// then to the flag Y; the reader loads the flag into register 2, then the
-// data into register 3.
-func mp[G any](name string, gen func(workload.Env) G, dataStore, flagStore, flagLoad, dataLoad emitter[G]) gateShape {
-	return gateShape{name, func(e workload.Env) *litmus.Test {
-		g := gen(e)
-		return &litmus.Test{
-			Name: name,
-			Threads: []litmus.Thread{
-				{Body: func(b *arch.Builder) {
-					b.MovImm(2, 1)
-					dataStore(g, b, 2, litmus.Base, litmus.X)
-					flagStore(g, b, 2, litmus.Base, litmus.Y)
-				}},
-				{
-					Setup: litmus.PrimeLines(litmus.X),
-					Body: func(b *arch.Builder) {
-						flagLoad(g, b, 2, litmus.Base, litmus.Y)
-						dataLoad(g, b, 3, litmus.Base, litmus.X)
-						recordResult(b, 2, 1, 0)
-						recordResult(b, 3, 1, 1)
-					},
-				},
-			},
-			Relaxed: litmus.MPRelaxed,
-			Hit:     litmus.MPHit,
-		}
-	}}
-}
-
-// plainStore and plainLoad emit ordinary accesses.
-func plainStore[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.Store(r, base, off) }
-
-func plainLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) { b.Load(r, base, off) }
-
-// addrDepLoad is mp's data load through the "pointer" the flag load left
-// in register 2: its address, built in scratch registers 4 and 5,
-// depends on that value.
-func addrDepLoad[G any](_ G, b *arch.Builder, r, base arch.Reg, off int64) {
-	b.Eor(4, 2, 2)
-	b.Add(5, base, 4)
-	b.Load(r, 5, off)
 }
 
 // RunGate runs every configured gate shape for the candidate and returns

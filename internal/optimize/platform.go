@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/arch"
+	"repro/internal/litmus"
 	"repro/internal/platform/c11"
 	"repro/internal/platform/jvm"
 	"repro/internal/platform/kernel"
@@ -64,10 +65,15 @@ var platforms = map[string]platform{
 		bench:     workload.JVMPlatform,
 		gates: []gateShape{
 			// Dekker: volatile store mine; volatile load other.
-			sb("volatile-sb", newJVM, (*jvm.JVM).VolatileStore, (*jvm.JVM).VolatileLoad),
+			{"volatile-sb", func(e workload.Env) *litmus.Test {
+				j := newJVM(e)
+				return litmus.SB("volatile-sb", j.VolatileStore, j.VolatileLoad)
+			}},
 			// Plain data, volatile flag.
-			mp("volatile-mp", newJVM, plainStore[*jvm.JVM], (*jvm.JVM).VolatileStore,
-				(*jvm.JVM).VolatileLoad, plainLoad[*jvm.JVM]),
+			{"volatile-mp", func(e workload.Env) *litmus.Test {
+				j := newJVM(e)
+				return litmus.MP("volatile-mp", litmus.PlainStore, j.VolatileStore, j.VolatileLoad, litmus.PlainLoad)
+			}},
 		},
 	},
 	"kernel": {
@@ -104,10 +110,14 @@ var platforms = map[string]platform{
 			// rcu_assign_pointer publication against an rcu_dereference
 			// with a true address dependency: the usage pattern
 			// read_barrier_depends exists for.
-			mp("rcu-mp", newKernel, plainStore[*kernel.Kernel], (*kernel.Kernel).RCUAssign,
-				(*kernel.Kernel).RCUDereference, addrDepLoad[*kernel.Kernel]),
-			mp("acqrel-mp", newKernel, (*kernel.Kernel).WriteOnce, (*kernel.Kernel).StoreRelease,
-				(*kernel.Kernel).LoadAcquire, (*kernel.Kernel).ReadOnce),
+			{"rcu-mp", func(e workload.Env) *litmus.Test {
+				k := newKernel(e)
+				return litmus.MP("rcu-mp", litmus.PlainStore, k.RCUAssign, k.RCUDereference, litmus.AddrDepLoad)
+			}},
+			{"acqrel-mp", func(e workload.Env) *litmus.Test {
+				k := newKernel(e)
+				return litmus.MP("acqrel-mp", k.WriteOnce, k.StoreRelease, k.LoadAcquire, k.ReadOnce)
+			}},
 		},
 	},
 	"c11": {
@@ -135,9 +145,15 @@ var platforms = map[string]platform{
 		costPaths: []arch.PathID{c11.PathSeqCst},
 		bench:     workload.C11Platform,
 		gates: []gateShape{
-			sb("sc-sb", newC11, c11Store(c11.SeqCst), c11Load(c11.SeqCst)),
-			mp("acqrel-mp", newC11, c11Store(c11.Relaxed), c11Store(c11.Release),
-				c11Load(c11.Acquire), c11Load(c11.Relaxed)),
+			{"sc-sb", func(e workload.Env) *litmus.Test {
+				c := newC11(e)
+				return litmus.SB("sc-sb", c11Store(c, c11.SeqCst), c11Load(c, c11.SeqCst))
+			}},
+			{"acqrel-mp", func(e workload.Env) *litmus.Test {
+				c := newC11(e)
+				return litmus.MP("acqrel-mp", c11Store(c, c11.Relaxed), c11Store(c, c11.Release),
+					c11Load(c, c11.Acquire), c11Load(c, c11.Relaxed))
+			}},
 		},
 	},
 }
@@ -165,11 +181,11 @@ func newC11(e workload.Env) *c11.C11 {
 	return c11.New(c11.Config{Prof: e.Prof, Strategy: e.C11Strategy})
 }
 
-// c11Store and c11Load emit C11 atomic accesses of memory order o.
-func c11Store(o c11.Order) emitter[*c11.C11] {
-	return func(c *c11.C11, b *arch.Builder, r, base arch.Reg, off int64) { c.Store(b, o, r, base, off) }
+// c11Store and c11Load are c's C11 atomic accesses of memory order o.
+func c11Store(c *c11.C11, o c11.Order) litmus.Access {
+	return func(b *arch.Builder, r, base arch.Reg, off int64) { c.Store(b, o, r, base, off) }
 }
 
-func c11Load(o c11.Order) emitter[*c11.C11] {
-	return func(c *c11.C11, b *arch.Builder, r, base arch.Reg, off int64) { c.Load(b, o, r, base, off) }
+func c11Load(c *c11.C11, o c11.Order) litmus.Access {
+	return func(b *arch.Builder, r, base arch.Reg, off int64) { c.Load(b, o, r, base, off) }
 }
