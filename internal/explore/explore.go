@@ -101,14 +101,11 @@ type Spec struct {
 	// alignment stagger (the number of delay-loop iterations to insert;
 	// 0 = none).  It must be deterministic.
 	Build func(b *arch.Builder, thread int, stagger int64)
-	// Init seeds memory before each run.
-	Init map[int64]int64
-	// PreTouch marks lines resident in the outer hierarchy.
-	PreTouch []int64
-	// Interesting lists the shared addresses whose timing choices get
+	// Shared lists the shared lines: each is resident in the outer
+	// hierarchy when a run starts, and only their timing choices get
 	// extremal domains; stores to other addresses (private result
 	// slots) resolve to the minimum without branching.
-	Interesting []int64
+	Shared []int64
 	// Watch lists the addresses whose final values define an outcome.
 	Watch []int64
 	// Stagger is the alignment domain applied independently to every
@@ -267,8 +264,8 @@ func (c *controller) stateFP(ch sim.Choice, ordinal int) uint64 {
 	return h
 }
 
-func (c *controller) interesting(addr int64) bool {
-	for _, a := range c.x.sp.Interesting {
+func (c *controller) shared(addr int64) bool {
+	for _, a := range c.x.sp.Shared {
 		if a == addr {
 			return true
 		}
@@ -281,7 +278,7 @@ func (c *controller) BoolChoice(ch sim.Choice) bool {
 	var domain []int64
 	switch ch.Kind {
 	case sim.ChoiceSBCombine:
-		if c.interesting(ch.Addr) && c.combineSlept&(1<<ch.Core) == 0 {
+		if c.shared(ch.Addr) && c.combineSlept&(1<<ch.Core) == 0 {
 			domain = boolDomain
 		} else {
 			domain = falseDomain
@@ -311,13 +308,13 @@ func (c *controller) IntChoice(ch sim.Choice) int64 {
 	var domain []int64
 	switch ch.Kind {
 	case sim.ChoiceStoreDrain, sim.ChoiceSBStick:
-		if c.interesting(ch.Addr) && ch.Hi > ch.Lo {
+		if c.shared(ch.Addr) && ch.Hi > ch.Lo {
 			domain = []int64{ch.Lo, ch.Hi}
 		} else {
 			domain = []int64{ch.Lo}
 		}
 	case sim.ChoicePropDelay:
-		if c.interesting(ch.Addr) && ch.Hi > ch.Lo {
+		if c.shared(ch.Addr) && ch.Hi > ch.Lo {
 			domain = []int64{ch.Lo, ch.Hi}
 			if c.x.sp.Prof.Lat.PropTail > 0 {
 				// The heavy tail, folded in as a third extreme point.
@@ -377,15 +374,12 @@ func (h *Harness) Machine() *sim.Machine { return h.m }
 
 // Start prepares one run: it resets the machine to seed with src
 // installed (nil leaves every choice to the machine's seeded RNGs),
-// writes Init, warms the PreTouch lines and loads each thread th's
-// program at alignment staggers[th].
+// warms the Shared lines and loads each thread th's program at
+// alignment staggers[th].
 func (h *Harness) Start(seed int64, src sim.ChoiceSource, staggers []int64) error {
 	h.m.Reset(seed)
 	h.m.SetChoiceSource(src)
-	for addr, val := range h.sp.Init {
-		h.m.WriteMem(addr, val)
-	}
-	for _, a := range h.sp.PreTouch {
+	for _, a := range h.sp.Shared {
 		h.m.PreTouch(a)
 	}
 	for th, st := range staggers {

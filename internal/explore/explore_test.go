@@ -44,9 +44,8 @@ func sbSpec(prof *arch.Profile, fence arch.BarrierKind) Spec {
 			b.Store(3, 1, res)
 			b.Halt()
 		},
-		Interesting: []int64{addrX, addrY},
-		Watch:       []int64{res0, res1},
-		PreTouch:    []int64{addrX, addrY},
+		Shared: []int64{addrX, addrY},
+		Watch:  []int64{res0, res1},
 	}
 }
 
@@ -261,9 +260,8 @@ func TestMessagePassingAddrDep(t *testing.T) {
 					}
 					b.Halt()
 				},
-				Interesting: []int64{addrX, addrY},
-				Watch:       []int64{res0, res1},
-				PreTouch:    []int64{addrX, addrY},
+				Shared: []int64{addrX, addrY},
+				Watch:  []int64{res0, res1},
 			}
 		}
 		t.Run(name, func(t *testing.T) {

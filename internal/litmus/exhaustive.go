@@ -69,14 +69,11 @@ func (rep *ExhaustiveReport) WriteWitness(o *ExhaustiveOutcome, w io.Writer) err
 }
 
 // WatchedAddrs returns the addresses whose final values classify t's
-// outcomes: the shared locations, every initialised address, and each
-// thread's first four result slots (the catalogue records at most two).
+// outcomes: the shared locations and each thread's first four result
+// slots (the catalogue records at most two).
 func WatchedAddrs(t *Test) []int64 {
-	addrs := make([]int64, 0, len(sharedLines)+len(t.Init)+4*len(t.Threads))
+	addrs := make([]int64, 0, len(sharedLines)+4*len(t.Threads))
 	addrs = append(addrs, sharedLines...)
-	for a := range t.Init {
-		addrs = append(addrs, a)
-	}
 	for th := range t.Threads {
 		for i := 0; i < 4; i++ {
 			addrs = append(addrs, ResultAddr(th, i))
@@ -165,11 +162,9 @@ func (r *Runner) spec(t *Test) (explore.Spec, int64) {
 			th.Body(b)
 			b.Halt()
 		},
-		Init:        t.Init,
-		PreTouch:    sharedLines,
-		Interesting: sharedLines,
-		Watch:       WatchedAddrs(t),
-		Stagger:     staggerDomain(len(t.Threads), maxDelay),
+		Shared:  sharedLines,
+		Watch:   WatchedAddrs(t),
+		Stagger: staggerDomain(len(t.Threads), maxDelay),
 	}, maxDelay
 }
 

@@ -77,7 +77,6 @@ func (e Expectation) String() string {
 // Test is a litmus shape plus its per-profile expectations.
 type Test struct {
 	Name    string
-	Init    map[int64]int64
 	Threads []Thread
 	// Relaxed decides, from the final memory image, whether this run
 	// exhibited the relaxed outcome.  Hit decides whether the run
