@@ -1,12 +1,10 @@
 package c11
 
-import "fmt"
-
 // Declarative strategy-space encoding for the C11 platform: the per-arch
-// mapping choice (dmb sequences vs ldar/stlr on the MCA profile) as a
-// round-trippable value.
+// mapping choice (dmb sequences vs ldar/stlr on the MCA profile) as an
+// enumerable value.
 
-// Spec is the round-trippable encoding of a Strategy.
+// Spec is the declarative encoding of a Strategy.
 type Spec struct {
 	// Lowering is "barriers" or "acq-rel".
 	Lowering string `json:"lowering"`
@@ -18,17 +16,6 @@ func (s Strategy) Spec() Spec {
 		return Spec{Lowering: "acq-rel"}
 	}
 	return Spec{Lowering: "barriers"}
-}
-
-// FromSpec decodes a Spec into a Strategy with its canonical name.
-func FromSpec(sp Spec) (Strategy, error) {
-	switch sp.Lowering {
-	case "barriers":
-		return Barriers(), nil
-	case "acq-rel":
-		return AcqRelInstrs(), nil
-	}
-	return Strategy{}, fmt.Errorf("c11: unknown lowering %q (want \"barriers\" or \"acq-rel\")", sp.Lowering)
 }
 
 // Enumerate returns the C11 strategy space: the two per-arch mapping
