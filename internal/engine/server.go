@@ -498,10 +498,7 @@ const (
 )
 
 func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, map[string]any{"error": map[string]string{
-		"code":    code,
-		"message": fmt.Sprintf(format, args...),
-	}})
+	writeJSON(w, status, client.ErrorEnvelope{Error: client.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -798,7 +795,7 @@ func (s *Server) checkpoint(id string, res *Result) {
 //	POST /api/v1/leases                  client.LeaseRequest
 //	  -> client.LeaseGrant {"lease_id", "ttl_ms", "jobs": [client.Job...]}
 //	     (lease_id empty and jobs [] when the queue has no work)
-//	POST /api/v1/leases/{id}/heartbeat   -> {"ttl_ms": 15000}; 410 if gone
+//	POST /api/v1/leases/{id}/heartbeat   -> client.HeartbeatReply {"ttl_ms"}; 410 if gone
 //	POST /api/v1/leases/{id}/results     client.ResultsUpload
 //	  -> client.UploadAck; 410 if the lease expired (its jobs were
 //	  re-queued; the worker drops the batch)
@@ -836,7 +833,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, ErrCodeLeaseGone, "lease %q expired or unknown; its jobs were re-queued", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"ttl_ms": ttl.Milliseconds()})
+	writeJSON(w, http.StatusOK, client.HeartbeatReply{TTLMs: ttl.Milliseconds()})
 }
 
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/runstore"
+	"repro/wmm/client"
 )
 
 // ErrDeposed reports that this controller was leader and lost the lease
@@ -367,12 +368,10 @@ func (c *Controller) Handler() http.Handler {
 				inner.ServeHTTP(w, r)
 				return
 			}
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error": map[string]string{
-					"code":    "unavailable",
-					"message": "standby coordinator: not the leader",
-				},
-			})
+			writeJSON(w, http.StatusServiceUnavailable, client.ErrorEnvelope{Error: client.ErrorBody{
+				Code:    "unavailable",
+				Message: "standby coordinator: not the leader",
+			}})
 		}
 	})
 }

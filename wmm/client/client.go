@@ -92,14 +92,9 @@ func New(base string, opts ...Option) *Client {
 // apiErr decodes the error envelope from a non-2xx response.
 func apiErr(resp *http.Response, body []byte) *Error {
 	e := &Error{Status: resp.StatusCode}
-	var env struct {
-		Err struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(body, &env) == nil && (env.Err.Code != "" || env.Err.Message != "") {
-		e.Code, e.Message = env.Err.Code, env.Err.Message
+	var env ErrorEnvelope
+	if json.Unmarshal(body, &env) == nil && (env.Error.Code != "" || env.Error.Message != "") {
+		e.Code, e.Message = env.Error.Code, env.Error.Message
 	} else {
 		e.Message = strings.TrimSpace(string(body))
 	}
@@ -509,9 +504,7 @@ func (c *Client) Lease(ctx context.Context, worker string, maxJobs int) (LeaseGr
 // with status 410 means the lease expired and its jobs were re-queued:
 // abandon the batch.
 func (c *Client) Heartbeat(ctx context.Context, leaseID string) (time.Duration, error) {
-	var out struct {
-		TTLMs int64 `json:"ttl_ms"`
-	}
+	var out HeartbeatReply
 	err := c.do(ctx, http.MethodPost, "/api/v1/leases/"+url.PathEscape(leaseID)+"/heartbeat", struct{}{}, &out)
 	return time.Duration(out.TTLMs) * time.Millisecond, err
 }

@@ -352,9 +352,26 @@ type UploadAck struct {
 	Requeued int `json:"requeued"`
 }
 
-// Error is the uniform API error envelope {"error": {"code",
-// "message"}} carried by every non-2xx response, plus transport
-// context.  RetryAfter is populated from the Retry-After header on 429.
+// HeartbeatReply is the reply to POST /api/v1/leases/{id}/heartbeat:
+// the renewed lease's TTL.
+type HeartbeatReply struct {
+	TTLMs int64 `json:"ttl_ms"`
+}
+
+// ErrorEnvelope is the body of every non-2xx response.
+type ErrorEnvelope struct {
+	Error ErrorBody `json:"error"`
+}
+
+// ErrorBody is an error envelope's machine-readable code and message.
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// Error is a non-2xx response: its ErrorEnvelope's code and message,
+// plus transport context.  RetryAfter is populated from the Retry-After
+// header on 429.
 type Error struct {
 	Status     int    // HTTP status code
 	Code       string // machine-readable error code ("not_found", "saturated", ...)
