@@ -151,7 +151,7 @@ type dispatchMetrics struct {
 	tenantDepth    *metrics.Gauge   // queued jobs, by tenant
 	tenantInflight *metrics.Gauge   // admitted-not-finished jobs, by tenant
 	tenantDone     *metrics.Counter // finished jobs, by tenant
-	tenantRejected *metrics.Counter // quota refusals, by tenant and reason
+	tenantRejected *metrics.Counter // refused submissions, by tenant and reason (the server counts tenant_running)
 }
 
 func newDispatchMetrics(r *metrics.Registry) *dispatchMetrics {
@@ -168,7 +168,7 @@ func newDispatchMetrics(r *metrics.Registry) *dispatchMetrics {
 		tenantDepth:    r.Gauge("wmm_tenant_queue_depth", "Experiment jobs waiting in a tenant's fair-share queue.", "tenant"),
 		tenantInflight: r.Gauge("wmm_tenant_jobs_inflight", "Experiment jobs admitted for a tenant and not yet finished.", "tenant"),
 		tenantDone:     r.Counter("wmm_tenant_jobs_completed_total", "Experiment jobs finished, by tenant.", "tenant"),
-		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by quota, by tenant and reason.", "tenant", "reason"),
+		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by admission control, by tenant and reason.", "tenant", "reason"),
 	}
 }
 

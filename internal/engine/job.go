@@ -317,7 +317,7 @@ func (s *Server) submitJob(k *jobKind) http.HandlerFunc {
 		if !s.tenantAdmitRunningLocked(h.tenant) {
 			s.mu.Unlock()
 			abandon()
-			s.met.tenantRejected.Inc(h.tenant, "tenant_running")
+			s.disp.met.tenantRejected.Inc(h.tenant, "tenant_running")
 			s.writeSaturated(w, "tenant %q already has %d jobs executing", h.tenant, s.tenantMaxRunning)
 			return
 		}

@@ -80,8 +80,7 @@ type serverMetrics struct {
 	optimizeSwept *metrics.Counter // optimizer jobs removed by GC or DELETE
 	cacheSwept    *metrics.Counter // persisted cache entries removed by retention
 
-	tenantRuns     *metrics.Gauge   // jobs of every kind executing, by tenant
-	tenantRejected *metrics.Counter // refused submissions, by tenant and reason
+	tenantRuns *metrics.Gauge // jobs of every kind executing, by tenant
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
@@ -106,8 +105,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		optimizeSwept: r.Counter("wmm_optimize_runs_swept_total", "Finished optimizer jobs removed by the retention sweep or DELETE."),
 		cacheSwept:    r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
 
-		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
-		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by admission control, by tenant and reason.", "tenant", "reason"),
+		tenantRuns: r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
 	}
 }
 
