@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sync"
 	"testing"
@@ -209,8 +210,7 @@ func TestFencingSameTermDoubleClaim(t *testing.T) {
 func TestFencingBrokenExclusiveRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
-			dir := t.TempDir()
-			open := func(id string) *SegmentStore {
+			open := func(dir string) *SegmentStore {
 				s, err := OpenSegment(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -219,24 +219,32 @@ func TestFencingBrokenExclusiveRace(t *testing.T) {
 				s.leaseFS.fsio = &nfsIO{brokenExcl: true}
 				return s
 			}
-			a, b := open("node-a"), open("node-b")
-
+			// Both renames can race such that neither confirm sees its own
+			// record — a livelock the poll loop resolves in production.  Such
+			// a race is rerun on a fresh directory, each claimant starting
+			// after a random delay of up to 10ms: a claim's open, sync and
+			// rename take milliseconds, so claimants started together tend
+			// to repeat the interleaving.
+			var a, b *SegmentStore
 			var okA, okB bool
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				_, okA, _ = a.TryAcquireLease("node-a", time.Minute)
-			}()
-			go func() {
-				defer wg.Done()
-				_, okB, _ = b.TryAcquireLease("node-b", time.Minute)
-			}()
-			wg.Wait()
-			if !okA && !okB {
-				// Both renames raced such that neither confirm saw its own
-				// record — a livelock the poll loop resolves in production.
-				t.Skip("neither claimant confirmed this round")
+			for attempt := 0; !okA && !okB; attempt++ {
+				if attempt == 10 {
+					t.Fatalf("neither claimant confirmed in %d races", attempt)
+				}
+				dir := t.TempDir()
+				a, b = open(dir), open(dir)
+				var wg sync.WaitGroup
+				claim := func(s *SegmentStore, owner string, ok *bool) {
+					defer wg.Done()
+					if attempt > 0 {
+						time.Sleep(rand.N(10 * time.Millisecond))
+					}
+					_, *ok, _ = s.TryAcquireLease(owner, time.Minute)
+				}
+				wg.Add(2)
+				go claim(a, "node-a", &okA)
+				go claim(b, "node-b", &okB)
+				wg.Wait()
 			}
 
 			// Each believer arms its fence, as promotion would.
