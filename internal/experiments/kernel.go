@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -64,10 +66,8 @@ func Fig8(o Options) error {
 		return err
 	}
 	sums := core.SumByBench(rs)
-	names := make([]string, 0, len(sums))
-	for n := range sums {
-		names = append(names, n)
-	}
+	// Equal sums print in name order, not the map's.
+	names := slices.Sorted(maps.Keys(sums))
 	sort.SliceStable(names, func(i, j int) bool { return sums[names[i]] < sums[names[j]] })
 	t := report.New("Figure 8: summed relative performance per benchmark (ascending = most sensitive first)",
 		"benchmark", "sum of relative perf")
