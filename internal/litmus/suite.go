@@ -42,6 +42,7 @@ func AddrDepLoad(b *arch.Builder, r, base arch.Reg, off int64) {
 	b.Load(r, 5, off)
 }
 
+// storeRelease and loadAcquire emit stlr and ldar.
 func storeRelease(b *arch.Builder, r, base arch.Reg, off int64) { b.StoreRel(r, base, off) }
 
 func loadAcquire(b *arch.Builder, r, base arch.Reg, off int64) { b.LoadAcq(r, base, off) }
