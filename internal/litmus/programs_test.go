@@ -24,9 +24,9 @@ var programsGolden = map[string]string{
 	"armv8/MP+ishst+ctl":        "722e128e5dceae11",
 	"armv8/MP+ishst+ctlisb":     "3a31924d4dcd6d7c",
 	"armv8/MP+rel+acq":          "e8853bdad3779ebb",
-	"armv8/SB":                  "efe3e1bb695efd14",
-	"armv8/SB+ish+ish":          "308346cf1279c37b",
-	"armv8/SB+rel+acq":          "5f87e8d6e6647c5e",
+	"armv8/SB":                  "675b6130e744b359",
+	"armv8/SB+ish+ish":          "0d9ca7819a790dfd",
+	"armv8/SB+rel+acq":          "8102579a3bc50c7d",
 	"armv8/CoRR":                "2111bfdcfcf6af35",
 	"armv8/CoWW":                "e3ed03222426d560",
 	"armv8/LB":                  "0279e5791d2f08ea",
@@ -47,9 +47,9 @@ var programsGolden = map[string]string{
 	"power7/MP+lwsync+addr":     "dccf5f19e70f7eeb",
 	"power7/MP+lwsync+ctl":      "0bf47db27842a619",
 	"power7/MP+lwsync+ctlisync": "a025430bcb309770",
-	"power7/SB":                 "efe3e1bb695efd14",
-	"power7/SB+sync+sync":       "932430c5490f96fa",
-	"power7/SB+lwsync+lwsync":   "40cc1f011ae27df4",
+	"power7/SB":                 "675b6130e744b359",
+	"power7/SB+sync+sync":       "4c5ce4dfacf3acc5",
+	"power7/SB+lwsync+lwsync":   "7b7bd7b45ceeab14",
 	"power7/CoRR":               "2111bfdcfcf6af35",
 	"power7/CoWW":               "e3ed03222426d560",
 	"power7/LB":                 "0279e5791d2f08ea",

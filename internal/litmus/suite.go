@@ -265,17 +265,22 @@ func Suite(profile string) []*Test {
 	mp("MP+lwsync+ctlisync", arch.LwSync, ctrl(ld(arch.ISB)), powerOnly(Forbidden))
 
 	// --- Store buffering -------------------------------------------------
-	sb := func(name string, f arch.BarrierKind, expect map[string]Expectation) {
-		add(expecting(SB(name, PlainStore, ld(f)), expect))
+	// Thread 1 primes its own line Y first, as the catalogue always has
+	// (the gates prime X then Y on both threads): the priming order moves
+	// sampled outcomes at some seeds.
+	sb := func(name string, store, load Access, expect map[string]Expectation) {
+		t := SB(name, store, load)
+		t.Threads[1].Setup = primeLines(Y, X)
+		add(expecting(t, expect))
 	}
-	sb("SB", arch.BarrierNone, both(Allowed))
-	sb("SB+ish+ish", arch.DMBIsh, armOnly(Forbidden))
+	sb("SB", PlainStore, ld(arch.BarrierNone), both(Allowed))
+	sb("SB+ish+ish", PlainStore, ld(arch.DMBIsh), armOnly(Forbidden))
 	// The JDK9 / C11-SC volatile mapping, whose RCsc stlr→ldar ordering
 	// forbids the SB relaxation on ARMv8.
-	add(expecting(SB("SB+rel+acq", storeRelease, loadAcquire), armOnly(Forbidden)))
-	sb("SB+sync+sync", arch.HwSync, powerOnly(Forbidden))
+	sb("SB+rel+acq", storeRelease, loadAcquire, armOnly(Forbidden))
+	sb("SB+sync+sync", PlainStore, ld(arch.HwSync), powerOnly(Forbidden))
 	// lwsync does not order store→load: SB stays observable.
-	sb("SB+lwsync+lwsync", arch.LwSync, powerOnly(Allowed))
+	sb("SB+lwsync+lwsync", PlainStore, ld(arch.LwSync), powerOnly(Allowed))
 
 	// --- Per-location coherence ------------------------------------------
 	add(&Test{
